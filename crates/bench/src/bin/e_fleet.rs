@@ -15,7 +15,7 @@
 //! validate) p50/p99/mean table and capture amortization. The same
 //! breakdown always lands in the `--json` document.
 //!
-//! With `--json [path]`, writes `BENCH_throughput.json` (experiment
+//! With `--json [path]`, writes `BENCH_fleet.json` (experiment
 //! `e_fleet`, including `fleet_runs_per_sec`, `restore_speedup`,
 //! `midrun_restore_speedup` and the `phases` object).
 //! With `--check [baseline]` (default `ci/bench_baseline.json`), exits
@@ -60,7 +60,7 @@ fn main() -> ExitCode {
         args.get(i + 1)
             .filter(|p| !p.starts_with("--"))
             .cloned()
-            .unwrap_or_else(|| "BENCH_throughput.json".into())
+            .unwrap_or_else(|| "BENCH_fleet.json".into())
     });
     let check_path = args.iter().position(|a| a == "--check").map(|i| {
         args.get(i + 1)

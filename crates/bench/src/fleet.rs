@@ -499,7 +499,7 @@ pub fn render_profile(result: &FleetResult, prof: &FleetProfile) -> String {
     out
 }
 
-/// Renders the `BENCH_throughput.json` document for the fleet job,
+/// Renders the `BENCH_fleet.json` document for the fleet job,
 /// including the per-phase profile.
 pub fn render_json(
     result: &FleetResult,

@@ -49,7 +49,7 @@ struct Ap {
 }
 
 /// Decodes the ARMv7-M AP field for the given privilege (ARM ARM B3.5.2).
-fn decode_ap(ap: u32, priv_: Privilege) -> Ap {
+const fn decode_ap(ap: u32, priv_: Privilege) -> Ap {
     let (priv_ap, unpriv_ap) = match ap {
         0b000 => (
             Ap {
@@ -186,13 +186,108 @@ impl RegionRegs {
     }
 
     /// Decodes whether the access type is permitted at the privilege level.
-    pub fn permits(&self, access: AccessType, priv_: Privilege) -> bool {
+    pub const fn permits(&self, access: AccessType, priv_: Privilege) -> bool {
         let ap = decode_ap(RegionAttributes::AP.read(self.rasr), priv_);
         match access {
             AccessType::Read => ap.read,
             AccessType::Write => ap.write,
             AccessType::Execute => ap.read && !RegionAttributes::XN.is_set(self.rasr),
         }
+    }
+}
+
+/// Bit of [`Comparator::perms`] for one access type at one privilege.
+const fn perm_bit(access: AccessType, priv_: Privilege) -> u8 {
+    1 << (priv_ as u8 * 3 + access as u8)
+}
+
+/// [`Comparator::perms`] for each AP × XN encoding (index `XN << 3 | AP`),
+/// evaluated through [`RegionRegs::permits`] at compile time.
+const PERMS: [u8; 16] = {
+    const ACCESSES: [(AccessType, Privilege); 6] = [
+        (AccessType::Read, Privilege::Privileged),
+        (AccessType::Write, Privilege::Privileged),
+        (AccessType::Execute, Privilege::Privileged),
+        (AccessType::Read, Privilege::Unprivileged),
+        (AccessType::Write, Privilege::Unprivileged),
+        (AccessType::Execute, Privilege::Unprivileged),
+    ];
+    let mut table = [0; 16];
+    let mut i = 0;
+    while i < table.len() {
+        let regs = RegionRegs {
+            rbar: 0,
+            rasr: RegionAttributes::AP.val(i as u32 & 0x7).value()
+                | RegionAttributes::XN.val(i as u32 >> 3).value(),
+        };
+        let mut j = 0;
+        while j < ACCESSES.len() {
+            let (access, priv_) = ACCESSES[j];
+            if regs.permits(access, priv_) {
+                table[i] |= perm_bit(access, priv_);
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    table
+};
+
+/// One region's match logic, decoded from its register pair when the pair
+/// is written, so the per-byte check does no field decoding.
+///
+/// A pure function of the region's [`RegionRegs`]: `hit` and `permits`
+/// are the specification it is tested against.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Comparator {
+    /// `!(size - 1)`: the address bits that must equal `base`.
+    mask: u32,
+    /// The size-aligned region base.
+    base: u32,
+    /// log2 of the subregion size (of the region size when the region is
+    /// too small to have subregions).
+    sub_shift: u8,
+    /// Bit `i` set when subregion `i` matches: the inverted SRD byte, all
+    /// ones without subregions, zero for a disabled region.
+    subregions: u8,
+    /// Permitted accesses, one [`perm_bit`] each.
+    perms: u8,
+}
+
+impl Comparator {
+    /// Decodes a register pair: the geometry through the [`RegionRegs`]
+    /// accessors, the permissions through [`PERMS`].
+    #[inline]
+    fn decode(regs: &RegionRegs) -> Self {
+        if !regs.enabled() {
+            return Self::default();
+        }
+        let size = regs.size();
+        // Sizes go up to 2^32, so `size - 1` and the base (bits [31:5] of
+        // RBAR) both fit in 32 bits.
+        let mask = !((size - 1) as u32);
+        let log2 = size.trailing_zeros() as u8;
+        let (sub_shift, subregions) = if size >= MIN_SUBREGIONS_SIZE {
+            (log2 - 3, !(regs.srd() as u8))
+        } else {
+            (log2, 0xFF)
+        };
+        let ap_xn =
+            RegionAttributes::AP.read(regs.rasr) | (RegionAttributes::XN.read(regs.rasr) << 3);
+        Self {
+            mask,
+            base: regs.base() as u32 & mask,
+            sub_shift,
+            subregions,
+            perms: PERMS[ap_xn as usize],
+        }
+    }
+
+    /// `true` when `addr` falls in an enabled subregion of the region.
+    #[inline]
+    fn hits(&self, addr: u32) -> bool {
+        addr & self.mask == self.base
+            && (self.subregions >> ((addr - self.base) >> self.sub_shift)) & 1 != 0
     }
 }
 
@@ -208,6 +303,11 @@ pub struct CortexMpu {
     rnr: usize,
     /// The eight region register pairs.
     regions: [RegionRegs; NUM_REGIONS],
+    /// `regions` decoded for the access check; entry `i` is rewritten with
+    /// `regions[i]` and never otherwise.
+    comparators: [Comparator; NUM_REGIONS],
+    /// Bit `i` set when comparator `i` can match any address.
+    active: u8,
     /// Write log: region indices in the order RASR writes committed, used by
     /// the §6.1 differential test that caught the region write-order bug.
     write_order: Vec<usize>,
@@ -227,6 +327,8 @@ impl CortexMpu {
             privdefena: true,
             rnr: 0,
             regions: [RegionRegs::default(); NUM_REGIONS],
+            comparators: [Comparator::default(); NUM_REGIONS],
+            active: 0,
             write_order: Vec::new(),
         }
     }
@@ -271,7 +373,10 @@ impl CortexMpu {
         if RegionBaseAddress::VALID.is_set(value) {
             self.rnr = RegionBaseAddress::REGION.read(value) as usize % NUM_REGIONS;
         }
-        self.regions[self.rnr].rbar = value;
+        if self.regions[self.rnr].rbar != value {
+            self.regions[self.rnr].rbar = value;
+            self.latch(self.rnr);
+        }
         crate::trace::record(crate::trace::TraceEvent::RegWrite {
             reg: crate::trace::RegName::Rbar,
             index: self.rnr as u8,
@@ -284,13 +389,28 @@ impl CortexMpu {
         crate::cycles::charge(crate::cycles::Cost::MmioWrite);
         let value =
             crate::injection::mutate_reg_write(crate::injection::InjectionPoint::ArmRasr, value);
-        self.regions[self.rnr].rasr = value;
+        if self.regions[self.rnr].rasr != value {
+            self.regions[self.rnr].rasr = value;
+            self.latch(self.rnr);
+        }
         self.write_order.push(self.rnr);
         crate::trace::record(crate::trace::TraceEvent::RegWrite {
             reg: crate::trace::RegName::Rasr,
             index: self.rnr as u8,
             value,
         });
+    }
+
+    /// Re-decodes `region`'s comparator from its stored registers — the
+    /// possibly bit-flipped values, so the check enforces exactly what the
+    /// registers hold. Charges no cycles and records no trace events. The
+    /// writers skip it when a write leaves the register unchanged: the
+    /// comparator is a function of the registers alone.
+    fn latch(&mut self, region: usize) {
+        let c = Comparator::decode(&self.regions[region]);
+        self.comparators[region] = c;
+        self.active &= !(1 << region);
+        self.active |= u8::from(c.subregions != 0) << region;
     }
 
     /// Composes the RBAR value `write_region` commits for `region`: the
@@ -344,44 +464,40 @@ impl CortexMpu {
     /// Checks a single byte address (ARM ARM B3.5.3 permission check).
     // TRUSTED: this is the hardware semantics itself — the spec isolation
     // is judged against, validated by differential tests, not verified.
+    #[inline]
     fn check_byte(&self, addr: usize, access: AccessType, priv_: Privilege) -> AccessDecision {
         if !self.enable {
             return AccessDecision::Allowed;
         }
-        // Higher-numbered regions take priority on overlap.
-        let mut decision: Option<AccessDecision> = None;
-        for region in self.regions.iter().rev() {
-            match region.hit(addr) {
-                Some(true) => {
-                    decision = Some(if region.permits(access, priv_) {
+        // Regions live in the 32-bit address space, so no region matches a
+        // wider address. Higher-numbered regions take priority on overlap;
+        // a disabled subregion does not match, so lower-priority regions
+        // may still match the address.
+        if let Ok(addr) = u32::try_from(addr) {
+            let mut active = self.active;
+            while active != 0 {
+                let region = NUM_REGIONS - 1 - active.leading_zeros() as usize;
+                active ^= 1 << region;
+                let c = &self.comparators[region];
+                if c.hits(addr) {
+                    return if c.perms & perm_bit(access, priv_) != 0 {
                         AccessDecision::Allowed
                     } else {
                         AccessDecision::Fault(FaultKind::PermissionDenied)
-                    });
-                    break;
+                    };
                 }
-                Some(false) => {
-                    // A disabled subregion: the region does not match; lower
-                    // priority regions may still match this address.
-                    continue;
-                }
-                None => continue,
             }
         }
-        match decision {
-            Some(d) => d,
-            None => {
-                if priv_ == Privilege::Privileged && self.privdefena {
-                    AccessDecision::Allowed
-                } else {
-                    AccessDecision::Fault(FaultKind::NoRegionMatch)
-                }
-            }
+        if priv_ == Privilege::Privileged && self.privdefena {
+            AccessDecision::Allowed
+        } else {
+            AccessDecision::Fault(FaultKind::NoRegionMatch)
         }
     }
 }
 
 impl ProtectionUnit for CortexMpu {
+    #[inline]
     fn check(
         &self,
         addr: usize,

@@ -268,6 +268,7 @@ impl RiscvPmp {
     }
 
     // TRUSTED: the PMP matching semantics from the privileged spec.
+    #[inline]
     fn check_byte(&self, addr: usize, access: AccessType, priv_: Privilege) -> AccessDecision {
         // Lowest-numbered matching entry has priority.
         for (i, e) in self.entries.iter().enumerate() {
@@ -306,6 +307,7 @@ impl RiscvPmp {
 }
 
 impl ProtectionUnit for RiscvPmp {
+    #[inline]
     fn check(
         &self,
         addr: usize,

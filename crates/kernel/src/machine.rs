@@ -160,6 +160,7 @@ impl Machine {
     }
 
     /// Checks an access against the live hardware state.
+    #[inline]
     pub fn check(
         &self,
         addr: usize,

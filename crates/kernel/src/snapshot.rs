@@ -350,6 +350,60 @@ mod tests {
     }
 
     #[test]
+    fn restored_mpu_decides_like_one_rebuilt_from_its_registers() {
+        use tt_hw::cortexm::mpu::NUM_REGIONS;
+        use tt_hw::cortexm::CortexMpu;
+        use tt_hw::mem::{AccessType, Privilege, ProtectionUnit};
+
+        tt_hw::cycles::reset();
+        let mut k = boot_two(&NRF52840DK);
+        k.processes[0].setup_mpu();
+        let snap = MachineSnapshot::capture(&mut k);
+        let MachineKind::CortexM(mpu) = k.machine.kind().clone() else {
+            unreachable!("nRF52840 is a Cortex-M chip")
+        };
+        // Move the regions away from the captured configuration, and
+        // open region 7: 256 KiB of RAM, read-write for everyone.
+        k.processes[1].setup_mpu();
+        mpu.borrow_mut()
+            .write_region(7, 0x2000_0000, 0x0300_0000 | (17 << 1) | 1);
+        let scribbled = mpu.borrow().clone();
+        snap.restore(&mut k);
+        assert_ne!(*mpu.borrow(), scribbled);
+
+        // Force the unit on: the kernel leaves it disabled between runs.
+        let mut live = mpu.borrow().clone();
+        live.enable = true;
+        let mut rebuilt = CortexMpu::new();
+        rebuilt.write_ctrl(true, live.privdefena);
+        for i in 0..NUM_REGIONS {
+            let r = live.region(i);
+            rebuilt.write_rnr(i);
+            rebuilt.write_rbar(r.rbar);
+            rebuilt.write_rasr(r.rasr);
+            assert_eq!(rebuilt.region(i), r);
+        }
+        let p0 = &k.processes[0];
+        let (lo, hi) = (p0.memory_start(), p0.memory_start() + p0.memory_size());
+        let flash = NRF52840DK.map.flash.start + 0x4_0000;
+        let probes = (lo - 64..hi + 64)
+            .step_by(8)
+            .chain((flash - 64..flash + 0x2000).step_by(8))
+            .chain([0x2000_0000, 0x2000_0100]);
+        let mut allowed = 0;
+        for addr in probes {
+            for access in [AccessType::Read, AccessType::Write, AccessType::Execute] {
+                for priv_ in [Privilege::Privileged, Privilege::Unprivileged] {
+                    let d = live.check(addr, 1, access, priv_);
+                    assert_eq!(d, rebuilt.check(addr, 1, access, priv_), "{addr:#x}");
+                    allowed += usize::from(d.allowed() && priv_ == Privilege::Unprivileged);
+                }
+            }
+        }
+        assert!(allowed > 0, "process 0's regions must admit user accesses");
+    }
+
+    #[test]
     fn reset_stats_between_runs_cannot_survive_a_restore() {
         // `reset_stats` zeroes the hit/miss counters without touching the
         // cached key; a restore must overwrite *both* with the capture
