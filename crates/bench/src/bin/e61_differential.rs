@@ -23,12 +23,7 @@ use tt_kernel::trace::render_divergence;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let trace_mode = args.iter().any(|a| a == "--trace");
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_e61.json".into())
-    });
+    let json_path = tt_bench::args::path(&args, "--json", "BENCH_e61.json");
 
     println!("Section 6.1: Differential testing (Tock vs TickTock, 21 release tests)");
     let results = run_release_suite();

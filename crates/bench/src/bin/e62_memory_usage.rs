@@ -22,12 +22,7 @@ fn row(name: &str, m: &MemUsage) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_e62.json".into())
-    });
+    let json_path = tt_bench::args::path(&args, "--json", "BENCH_e62.json");
 
     println!("Section 6.2: Memory usage (grow-by-1-byte-until-failure)");
     let started = std::time::Instant::now();

@@ -14,9 +14,11 @@
 //! kernel must stay green, exploration must find the bug, and the
 //! minimized schedule must be harmless on the correct kernel.
 //!
-//! With `--check`, exits non-zero on any finding, a replayed schedule
-//! still failing, a pruning ratio under the `min_explore_prune_ratio`
-//! floor in `ci/bench_baseline.json`, or lost detector power. With
+//! With `--check [baseline]` (default `ci/bench_baseline.json`), exits
+//! non-zero on any finding, a replayed schedule still failing, a pruning
+//! ratio under the baseline's `min_explore_prune_ratio` floor, or lost
+//! detector power; a baseline that cannot be read fails before any
+//! exploration runs. With
 //! `--json [path]`, writes `BENCH_explore.json`. `--budget-ms N` bounds
 //! fleet wall clock (late units report truncated, and the gate refuses
 //! to pass on truncation alone).
@@ -24,6 +26,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use tt_bench::args;
 use tt_bench::explore::{
     check, explore_json, explore_records, planted_demo, render, replay_schedule_records,
     run_explore_fleet, schedule_corpus,
@@ -32,34 +35,28 @@ use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
 use tt_kernel::corpus::write_corpus;
 use tt_kernel::pool;
 
-fn arg_num<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let do_check = args.iter().any(|a| a == "--check");
-    let seeds: u64 = arg_num(&args, "--seeds").unwrap_or(2);
-    let planted_seeds: u64 = arg_num(&args, "--planted-seeds").unwrap_or(25);
-    let cap: Option<usize> = arg_num(&args, "--cap");
-    let budget_ms: Option<f64> = arg_num(&args, "--budget-ms");
-    let threads: usize = arg_num(&args, "--threads").unwrap_or_else(pool::default_threads);
-    let corpus_dir = args
-        .iter()
-        .position(|a| a == "--corpus")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "ci/corpus".into());
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_explore.json".into())
-    });
+    let seeds: u64 = args::number(&args, "--seeds").unwrap_or(2);
+    let planted_seeds: u64 = args::number(&args, "--planted-seeds").unwrap_or(25);
+    let cap: Option<usize> = args::number(&args, "--cap");
+    let budget_ms: Option<f64> = args::number(&args, "--budget-ms");
+    let threads: usize = args::number(&args, "--threads").unwrap_or_else(pool::default_threads);
+    let corpus_dir =
+        args::path(&args, "--corpus", "ci/corpus").unwrap_or_else(|| "ci/corpus".into());
+    let json_path = args::path(&args, "--json", "BENCH_explore.json");
+    // Read the baseline up front: a gate asked to check must not run its
+    // whole sweep and then skip the floor for want of a file.
+    let baseline = match args::path(&args, "--check", "ci/bench_baseline.json") {
+        Some(path) => match std::fs::read_to_string(&path) {
+            Ok(doc) => Some(doc),
+            Err(e) => {
+                eprintln!("failed to read baseline {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
 
     // Replay the persisted schedule corpus first — a previously-failing
     // schedule reporting in the opening seconds beats rediscovering it.
@@ -108,8 +105,7 @@ fn main() -> ExitCode {
         println!("wrote {path}");
     }
 
-    if do_check {
-        let baseline = std::fs::read_to_string("ci/bench_baseline.json").unwrap_or_default();
+    if let Some(baseline) = baseline {
         match check(&fleet, &demo, &replayed, &baseline) {
             Ok(notes) => {
                 for n in notes {

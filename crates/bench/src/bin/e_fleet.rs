@@ -15,31 +15,46 @@
 //! validate) p50/p99/mean table and capture amortization. The same
 //! breakdown always lands in the `--json` document.
 //!
+//! The campaign runs twice, as a thread ladder: once on one worker, then
+//! on `TT_BENCH_THREADS` (default: the host core count) workers — once
+//! in all on a 1-worker host. The full-worker rung feeds everything
+//! below; the serial rung is kept only as its rendered report and
+//! throughput.
+//!
 //! With `--json [path]`, writes `BENCH_fleet.json` (experiment
-//! `e_fleet`, including `fleet_runs_per_sec`, `restore_speedup`,
-//! `midrun_restore_speedup` and the `phases` object).
+//! `e_fleet`, including `fleet_runs_per_sec`, `serial_runs_per_sec`,
+//! `parallel_speedup`, `deterministic`, `restore_speedup`,
+//! `midrun_restore_speedup`, the `phases` object and per-chip recovery
+//! latency, warm vs cold commit cache).
 //! With `--check [baseline]` (default `ci/bench_baseline.json`), exits
 //! non-zero if any restored run is not byte-identical to its fresh-boot
-//! twin, if any campaign run fails the oracle, or if a measured speedup
-//! misses its baseline floor (`min_restore_speedup`,
-//! `min_midrun_restore_speedup`, or the serial throughput floor
-//! `fleet_runs_per_sec_prev` x `min_fleet_speedup`).
-//! With `--budget-ms N`, exits non-zero if the campaign wall-clock
-//! exceeded `N` milliseconds — the CI knob that keeps raising `--runs`
-//! toward 10^6 honest.
+//! twin, if any campaign run fails the oracle, if the two rungs' reports
+//! are not byte-identical, or if a measured speedup misses its baseline
+//! floor (`min_restore_speedup`, `min_midrun_restore_speedup`, the
+//! serial rung's throughput floor `fleet_runs_per_sec_prev` x
+//! `min_fleet_speedup`, or the ladder's `min_parallel_speedup`, capped
+//! at 0.75x the core count). The throughput floors engage at 50,000+
+//! runs.
+//! With `--budget-ms N`, exits non-zero if the full-worker rung's
+//! wall-clock exceeded `N` milliseconds — the CI knob that keeps raising
+//! `--runs` toward 10^6 honest.
 //!
 //! Failing runs persist as 32-byte corpus records under `--corpus`
 //! (default `ci/corpus/`), and the first few failing seeds are shrunk to
 //! 1-minimal injection schedules for the report.
+//!
+//! A numeric flag whose value does not parse (`--runs 1e6`) is an error,
+//! not a silent fallback to the default.
 
 use std::path::Path;
 use std::process::ExitCode;
 
+use tt_bench::args;
 use tt_bench::fleet::{
-    check, equivalence_failures, failing_records, measure_reset_cost, priority_from_corpus,
-    profile, render, render_json, render_profile, run_fleet_prioritized, shrink_failures,
+    check, equivalence_failures, failing_records, host_cores, measure_reset_cost,
+    priority_from_corpus, profile, render, render_json, render_profile, run_ladder,
+    shrink_failures,
 };
-use tt_bench::throughput::host_cores;
 use tt_kernel::corpus::write_corpus;
 use tt_kernel::pool;
 
@@ -50,41 +65,17 @@ const SHRINK_LIMIT: usize = 10;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let runs: u64 = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_fleet.json".into())
-    });
-    let check_path = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "ci/bench_baseline.json".into())
-    });
-    let corpus_dir = args
-        .iter()
-        .position(|a| a == "--corpus")
-        .and_then(|i| args.get(i + 1))
-        .filter(|p| !p.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "ci/corpus".into());
+    let runs: u64 = args::number(&args, "--runs").unwrap_or(1000);
+    let budget_ms: Option<f64> = args::number(&args, "--budget-ms");
+    let json_path = args::path(&args, "--json", "BENCH_fleet.json");
+    let check_path = args::path(&args, "--check", "ci/bench_baseline.json");
+    let corpus_dir =
+        args::path(&args, "--corpus", "ci/corpus").unwrap_or_else(|| "ci/corpus".into());
     let want_profile = args.iter().any(|a| a == "--profile");
-    let budget_ms: Option<f64> = args
-        .iter()
-        .position(|a| a == "--budget-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
 
     let threads = pool::default_threads();
     let cores = host_cores();
-    println!("Fleet campaign: --runs {runs} on {threads} worker(s) ({cores} core(s))");
+    println!("Fleet campaign: --runs {runs}, serial then {threads} worker(s) ({cores} core(s))");
 
     println!("restore-equivalence gate: replaying fresh-boot vs restored runs...");
     let equivalence = equivalence_failures();
@@ -111,12 +102,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let result = run_fleet_prioritized(runs, threads, &priority);
+    let ladder = run_ladder(runs, threads, &priority);
+    let result = &ladder.fleet;
     let cost = measure_reset_cost(RESET_COST_ITERS);
-    let prof = profile(&result);
-    print!("{}", render(&result, &cost));
+    let prof = profile(result);
+    print!("{}", render(&ladder, &cost));
     if want_profile {
-        print!("{}", render_profile(&result, &prof));
+        print!("{}", render_profile(result, &prof));
     }
 
     let failing = failing_records(&result.outcomes);
@@ -135,7 +127,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = json_path {
-        let doc = render_json(&result, &cost, &prof, &equivalence, cores);
+        let doc = render_json(&ladder, &cost, &prof, &equivalence, cores);
         if let Err(e) = std::fs::write(&path, &doc) {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
@@ -167,19 +159,14 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match check(&result, &cost, &equivalence, &baseline) {
-            Ok(notes) => {
-                for note in notes {
-                    println!("check: {note}");
-                }
-            }
-            Err(failures) => {
-                for f in failures {
-                    eprintln!("FLEET GATE FAILED: {f}");
-                }
-                failed = true;
-            }
+        let (notes, failures) = check(&ladder, &cost, &equivalence, &baseline, cores);
+        for note in notes {
+            println!("check: {note}");
         }
+        for f in &failures {
+            eprintln!("FLEET GATE FAILED: {f}");
+        }
+        failed |= !failures.is_empty();
     } else if !equivalence.is_empty() {
         failed = true;
     }

@@ -17,6 +17,15 @@
 //! (`min_restore_speedup` in `ci/bench_baseline.json`). Failing runs
 //! persist as fixed-width [`CorpusRecord`]s under `ci/corpus/` and their
 //! seeds shrink to 1-minimal schedules for the report.
+//!
+//! The campaign runs as a two-rung thread ladder ([`run_ladder`]): once
+//! serially, then at the full worker count. The parallel pool is a gated
+//! artifact rather than a trusted optimisation — both rungs' rendered
+//! reports must be byte-identical, the serial rung feeds the
+//! `fleet_runs_per_sec_prev` × `min_fleet_speedup` throughput floor, and
+//! the pair feeds the `min_parallel_speedup` floor, which applies only
+//! on multi-core hosts and is capped at 0.75 × the core count so small
+//! hosts are not asked for speedups their hardware cannot produce.
 
 use std::path::Path;
 use std::time::Instant;
@@ -24,8 +33,8 @@ use std::time::Instant;
 use crate::json;
 use tt_hw::platform::{ChipProfile, ALL_CHIPS};
 use tt_kernel::campaign::{
-    boot_probe, run_campaign_profiled, run_one, shrink_failing_seed, ChipReport, FleetRunner,
-    RunRecord, Unit, UnitOutcome,
+    boot_probe, render_report, run_campaign_profiled, run_one, shrink_failing_seed, ChipReport,
+    FleetRunner, RunRecord, Unit, UnitOutcome,
 };
 use tt_kernel::corpus::{read_corpus, CorpusRecord};
 
@@ -33,11 +42,11 @@ use tt_kernel::corpus::{read_corpus, CorpusRecord};
 /// one uninjected run plus two injected ones.
 const EQUIVALENCE_SEEDS: [Option<u64>; 3] = [None, Some(1), Some(5)];
 
-/// Minimum campaign size for the fleet throughput floor to engage.
-/// Below this, fixed per-campaign costs (snapshot capture, reference
+/// Minimum campaign size for the throughput floors to engage. Below
+/// this, fixed per-campaign costs (snapshot capture, reference
 /// construction) dominate the measured rate, which then says nothing
-/// about the steady-state figure `fleet_runs_per_sec_prev` pins —
-/// that reference was measured at 10^5 runs.
+/// about the steady-state figure `fleet_runs_per_sec_prev` pins — that
+/// reference was measured at 10^5 runs — nor about how the pool scales.
 const FLEET_FLOOR_MIN_RUNS: u64 = 50_000;
 
 /// Compares one fresh-boot record against one restored-machine record;
@@ -315,19 +324,20 @@ impl FleetResult {
     pub fn failures(&self) -> Vec<&String> {
         self.reports.iter().flat_map(|r| &r.failures).collect()
     }
+
+    /// The campaign's rendered report — the text the determinism gate
+    /// compares across rungs.
+    pub fn report(&self) -> String {
+        render_report(&self.reports, self.seeds_per_chip)
+    }
 }
 
 /// Runs a fleet campaign sized to roughly `total_runs` injected runs
-/// (rounded down to whole seeds per chip, minimum one).
-pub fn run_fleet(total_runs: u64, threads: usize) -> FleetResult {
-    run_fleet_prioritized(total_runs, threads, &[])
-}
-
-/// [`run_fleet`] with corpus-guided scheduling: `priority` units
-/// (typically [`priority_from_corpus`]) run before the default
-/// chip-major order, so previously failing seeds report in the opening
-/// seconds of a million-run campaign.
-pub fn run_fleet_prioritized(total_runs: u64, threads: usize, priority: &[Unit]) -> FleetResult {
+/// (rounded down to whole seeds per chip, minimum one) on `threads`
+/// workers. `priority` units (typically [`priority_from_corpus`]) run
+/// before the default chip-major order, so previously failing seeds
+/// report in the opening seconds of a million-run campaign.
+pub fn run_fleet(total_runs: u64, threads: usize, priority: &[Unit]) -> FleetResult {
     let per_chip_runs = ALL_CHIPS.len() as u64 * 2;
     let seeds = (total_runs / per_chip_runs).max(1);
     let t0 = Instant::now();
@@ -346,8 +356,77 @@ pub fn run_fleet_prioritized(total_runs: u64, threads: usize, priority: &[Unit])
     }
 }
 
+/// The serial rung of the thread ladder, reduced to what the gate needs
+/// once its outcomes are dropped.
+#[derive(Debug, Clone)]
+pub struct SerialRung {
+    /// Injected runs executed.
+    pub total_runs: u64,
+    /// Campaign wall-clock, milliseconds.
+    pub wall_ms: f64,
+    /// The rendered campaign report ([`FleetResult::report`]).
+    pub report: String,
+}
+
+impl SerialRung {
+    /// Serial throughput in injected runs per second.
+    pub fn runs_per_sec(&self) -> f64 {
+        self.total_runs as f64 / (self.wall_ms / 1e3)
+    }
+}
+
+/// A measured thread ladder: the serial rung and the campaign at the
+/// full worker count.
+#[derive(Debug, Clone)]
+pub struct Ladder {
+    /// The 1-worker rung.
+    pub serial: SerialRung,
+    /// The full-worker-count rung, outcomes kept (on a 1-worker host,
+    /// the serial rung itself).
+    pub fleet: FleetResult,
+}
+
+impl Ladder {
+    /// Full-worker-count throughput over serial throughput.
+    pub fn parallel_speedup(&self) -> f64 {
+        self.fleet.runs_per_sec() / self.serial.runs_per_sec()
+    }
+
+    /// Whether both rungs rendered byte-identical reports.
+    pub fn deterministic(&self) -> bool {
+        self.serial.report == self.fleet.report()
+    }
+}
+
+/// Runs the campaign once serially and once at `threads` workers (once
+/// in all when `threads` is 1). The serial rung's outcomes are dropped
+/// as soon as its report is rendered, so a 10^6-run ladder holds one
+/// rung's outcomes at a time.
+pub fn run_ladder(total_runs: u64, threads: usize, priority: &[Unit]) -> Ladder {
+    let first = run_fleet(total_runs, 1, priority);
+    let serial = SerialRung {
+        total_runs: first.total_runs,
+        wall_ms: first.wall_ms,
+        report: first.report(),
+    };
+    let fleet = if threads > 1 {
+        drop(first);
+        run_fleet(total_runs, threads, priority)
+    } else {
+        first
+    };
+    Ladder { serial, fleet }
+}
+
+/// Host core count as reported by the OS (1 when undetectable).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Decodes a persisted failure corpus (`ci/corpus/failures.bin`) into
-/// priority units for [`run_fleet_prioritized`]. A missing file is an
+/// priority units for [`run_fleet`]. A missing file is an
 /// empty priority list (first campaign, or the previous one was clean);
 /// a malformed one is a real error — a corrupt corpus should fail the
 /// job, not silently drop the seeds it was supposed to front.
@@ -411,7 +490,8 @@ pub fn shrink_failures(outcomes: &[UnitOutcome], limit: usize) -> Vec<String> {
 
 /// Renders the human-readable fleet table: per-chip runs and tallies,
 /// then the throughput and reset-cost lines.
-pub fn render(result: &FleetResult, cost: &ResetCost) -> String {
+pub fn render(ladder: &Ladder, cost: &ResetCost) -> String {
+    let result = &ladder.fleet;
     let mut out = String::new();
     out.push_str(&format!(
         "fleet campaign: {} runs ({} seeds x {} chips x 2 cache modes) on {} worker(s)\n",
@@ -440,6 +520,15 @@ pub fn render(result: &FleetResult, cost: &ResetCost) -> String {
         result.runs_per_sec(),
         result.wall_ms,
     ));
+    if result.threads > 1 {
+        out.push_str(&format!(
+            "serial rung: {:.0} runs/sec ({:.1} ms wall), {:.2}x speedup on {} workers\n",
+            ladder.serial.runs_per_sec(),
+            ladder.serial.wall_ms,
+            ladder.parallel_speedup(),
+            result.threads,
+        ));
+    }
     out.push_str(&format!(
         "reset cost: boot {:.1} us/run, restore {:.1} us/run ({:.1}x)\n",
         cost.boot_us,
@@ -502,60 +591,41 @@ pub fn render_profile(result: &FleetResult, prof: &FleetProfile) -> String {
 /// Renders the `BENCH_fleet.json` document for the fleet job,
 /// including the per-phase profile.
 pub fn render_json(
-    result: &FleetResult,
+    ladder: &Ladder,
     cost: &ResetCost,
     prof: &FleetProfile,
     equivalence: &[String],
     cores: usize,
 ) -> String {
-    let mut doc = String::new();
-    doc.push_str("{\n  \"experiment\": \"e_fleet\",\n");
-    doc.push_str(&format!("  \"total_runs\": {},\n", result.total_runs));
-    doc.push_str(&format!(
-        "  \"seeds_per_chip\": {},\n",
-        result.seeds_per_chip
-    ));
-    doc.push_str(&format!("  \"threads\": {},\n", result.threads));
-    doc.push_str(&format!("  \"cores\": {cores},\n"));
-    doc.push_str(&format!("  \"wall_ms\": {},\n", json::num(result.wall_ms)));
-    doc.push_str(&format!(
-        "  \"fleet_runs_per_sec\": {},\n",
-        json::num(result.runs_per_sec())
-    ));
-    doc.push_str(&format!(
-        "  \"boot_us_per_run\": {},\n",
-        json::num(cost.boot_us)
-    ));
-    doc.push_str(&format!(
-        "  \"restore_us_per_run\": {},\n",
-        json::num(cost.restore_us)
-    ));
-    doc.push_str(&format!(
-        "  \"restore_speedup\": {},\n",
-        json::num(cost.speedup())
-    ));
-    doc.push_str(&format!(
-        "  \"midrun_us_per_run\": {},\n",
-        json::num(cost.midrun_us)
-    ));
-    doc.push_str(&format!(
-        "  \"first_tick_us_per_run\": {},\n",
-        json::num(cost.first_tick_us)
-    ));
-    doc.push_str(&format!(
-        "  \"midrun_restore_speedup\": {},\n",
-        json::num(cost.midrun_speedup())
-    ));
-    doc.push_str(&format!("  \"midrun_runs\": {},\n", prof.midrun_runs));
-    doc.push_str(&format!("  \"fresh_boots\": {},\n", prof.boots));
-    doc.push_str(&format!(
-        "  \"capture_amortized_us\": {},\n",
-        json::num(prof.capture_amortized_us)
-    ));
-    doc.push_str(&format!(
-        "  \"prioritized_units\": {},\n",
-        result.prioritized
-    ));
+    let result = &ladder.fleet;
+    let num = json::num;
+    let fields = [
+        ("total_runs", result.total_runs.to_string()),
+        ("seeds_per_chip", result.seeds_per_chip.to_string()),
+        ("threads", result.threads.to_string()),
+        ("cores", cores.to_string()),
+        ("wall_ms", num(result.wall_ms)),
+        ("fleet_runs_per_sec", num(result.runs_per_sec())),
+        ("serial_runs_per_sec", num(ladder.serial.runs_per_sec())),
+        ("parallel_speedup", num(ladder.parallel_speedup())),
+        ("deterministic", ladder.deterministic().to_string()),
+        ("boot_us_per_run", num(cost.boot_us)),
+        ("restore_us_per_run", num(cost.restore_us)),
+        ("restore_speedup", num(cost.speedup())),
+        ("midrun_us_per_run", num(cost.midrun_us)),
+        ("first_tick_us_per_run", num(cost.first_tick_us)),
+        ("midrun_restore_speedup", num(cost.midrun_speedup())),
+        ("midrun_runs", prof.midrun_runs.to_string()),
+        ("fresh_boots", prof.boots.to_string()),
+        ("capture_amortized_us", num(prof.capture_amortized_us)),
+        ("prioritized_units", result.prioritized.to_string()),
+        ("restore_equivalent", equivalence.is_empty().to_string()),
+        ("failures", result.failures().len().to_string()),
+    ];
+    let mut doc = String::from("{\n  \"experiment\": \"e_fleet\",\n");
+    for (key, value) in fields {
+        doc.push_str(&format!("  \"{key}\": {value},\n"));
+    }
     doc.push_str("  \"phases\": {\n");
     let phases = [
         ("restore", &prof.restore),
@@ -566,29 +636,27 @@ pub fn render_json(
     for (i, (name, s)) in phases.iter().enumerate() {
         doc.push_str(&format!(
             "    \"{name}\": {{\"p50_us\": {}, \"p99_us\": {}, \"mean_us\": {}}}{}\n",
-            json::num(s.p50_us),
-            json::num(s.p99_us),
-            json::num(s.mean_us),
+            num(s.p50_us),
+            num(s.p99_us),
+            num(s.mean_us),
             if i + 1 < phases.len() { "," } else { "" }
         ));
     }
     doc.push_str("  },\n");
-    doc.push_str(&format!(
-        "  \"restore_equivalent\": {},\n",
-        equivalence.is_empty()
-    ));
-    doc.push_str(&format!("  \"failures\": {},\n", result.failures().len()));
     doc.push_str("  \"chips\": [\n");
     for (i, r) in result.reports.iter().enumerate() {
         doc.push_str(&format!(
             "    {{\"chip\": \"{}\", \"runs\": {}, \"fired\": {}, \"recoveries\": {}, \
-             \"restarts\": {}, \"killed\": {}}}{}\n",
-            r.chip,
+             \"restarts\": {}, \"killed\": {}, \"recovery_cycles_warm_mean\": {}, \
+             \"recovery_cycles_cold_mean\": {}}}{}\n",
+            json::escape(r.chip),
             r.runs * 2,
             r.fired,
             r.recoveries,
             r.restarts,
             r.killed,
+            num(r.warm_mean()),
+            num(r.cold_mean()),
             if i + 1 < result.reports.len() {
                 ","
             } else {
@@ -600,16 +668,62 @@ pub fn render_json(
     doc
 }
 
+/// Where two rendered reports first differ, for the determinism gate's
+/// failure message.
+fn first_difference(serial: &str, parallel: &str) -> String {
+    let a: Vec<&str> = serial.lines().collect();
+    let b: Vec<&str> = parallel.lines().collect();
+    let i = (0..a.len().max(b.len()))
+        .find(|&i| a.get(i) != b.get(i))
+        .unwrap_or(0);
+    let line = |v: &[&str]| v.get(i).copied().unwrap_or("<end>").to_string();
+    format!(
+        "line {}: serial {:?} vs parallel {:?}",
+        i + 1,
+        line(&a),
+        line(&b)
+    )
+}
+
+/// Checks `ratio` against `floor`, recording a note or a failure.
+fn gate_floor(
+    what: &str,
+    ratio: f64,
+    floor: f64,
+    detail: String,
+    notes: &mut Vec<String>,
+    failures: &mut Vec<String>,
+) {
+    if ratio < floor {
+        failures.push(format!(
+            "{what} {ratio:.2}x below floor {floor:.2}x ({detail})"
+        ));
+    } else {
+        notes.push(format!(
+            "{what}: {ratio:.2}x >= floor {floor:.2}x ({detail})"
+        ));
+    }
+}
+
 /// The CI gate: restore equivalence must hold on every chip, the
-/// campaign oracle must hold on every run, and — when the baseline pins
-/// a `min_restore_speedup` — the measured restore-vs-boot speedup must
-/// clear it. Returns notes on success, failures otherwise.
+/// campaign oracle must hold on every run, both ladder rungs must render
+/// byte-identical reports, and every floor the baseline pins must be
+/// cleared — restore and mid-run restore speedups, the serial rung's
+/// throughput against `fleet_runs_per_sec_prev` × `min_fleet_speedup`,
+/// and the ladder's `min_parallel_speedup` (capped at 0.75 × `cores`,
+/// multi-core hosts only). The throughput floors engage at 50,000+ runs
+/// (`FLEET_FLOOR_MIN_RUNS`), where fixed startup costs are amortized
+/// away. Returns `(notes, failures)`: a note for every check that passed
+/// or was skipped, and the gate passes when `failures` is empty.
 pub fn check(
-    result: &FleetResult,
+    ladder: &Ladder,
     cost: &ResetCost,
     equivalence: &[String],
     baseline: &str,
-) -> Result<Vec<String>, Vec<String>> {
+    cores: usize,
+) -> (Vec<String>, Vec<String>) {
+    let result = &ladder.fleet;
+    let serial = &ladder.serial;
     let mut failures = Vec::new();
     let mut notes = Vec::new();
     for f in equivalence {
@@ -628,85 +742,100 @@ pub fn check(
     if result.failures().is_empty() {
         notes.push(format!("campaign oracle: {} runs clean", result.total_runs));
     }
+    if result.threads == 1 {
+        notes.push("determinism: one rung (1 worker), nothing to compare".into());
+    } else if ladder.deterministic() {
+        notes.push(format!(
+            "determinism: {}-worker report byte-identical to serial ({} bytes)",
+            result.threads,
+            serial.report.len()
+        ));
+    } else {
+        failures.push(format!(
+            "determinism: {}-worker report differs from serial at {}",
+            result.threads,
+            first_difference(&serial.report, &result.report())
+        ));
+    }
     match json::read_number(baseline, "min_restore_speedup") {
-        Some(floor) => {
-            let speedup = cost.speedup();
-            if speedup < floor {
-                failures.push(format!(
-                    "restore speedup {speedup:.1}x below floor {floor:.1}x \
-                     (boot {:.1} us vs restore {:.1} us)",
-                    cost.boot_us, cost.restore_us
-                ));
-            } else {
-                notes.push(format!(
-                    "restore speedup: {speedup:.1}x >= floor {floor:.1}x"
-                ));
-            }
-        }
+        Some(floor) => gate_floor(
+            "restore speedup",
+            cost.speedup(),
+            floor,
+            format!(
+                "boot {:.1} us vs restore {:.1} us",
+                cost.boot_us, cost.restore_us
+            ),
+            &mut notes,
+            &mut failures,
+        ),
         None => notes.push("baseline has no min_restore_speedup; floor skipped".into()),
     }
     match json::read_number(baseline, "min_midrun_restore_speedup") {
-        Some(floor) => {
-            let speedup = cost.midrun_speedup();
-            if speedup < floor {
-                failures.push(format!(
-                    "midrun restore speedup {speedup:.2}x below floor {floor:.2}x \
-                     (restore+tick {:.2} us vs midrun restore {:.2} us)",
-                    cost.first_tick_us, cost.midrun_us
-                ));
-            } else {
-                notes.push(format!(
-                    "midrun restore speedup: {speedup:.2}x >= floor {floor:.2}x"
-                ));
-            }
-        }
+        Some(floor) => gate_floor(
+            "midrun restore speedup",
+            cost.midrun_speedup(),
+            floor,
+            format!(
+                "restore+tick {:.2} us vs midrun restore {:.2} us",
+                cost.first_tick_us, cost.midrun_us
+            ),
+            &mut notes,
+            &mut failures,
+        ),
         None => notes.push("baseline has no min_midrun_restore_speedup; floor skipped".into()),
     }
-    // Fleet throughput floor: the measured campaign must beat the pinned
-    // previous-generation figure (`fleet_runs_per_sec_prev`, measured
-    // serially on the CI host class) by `min_fleet_speedup`. Thread
-    // counts scale throughput, so the gate only engages for serial
-    // campaigns — the configuration the reference figure was measured
-    // in — and only at [`FLEET_FLOOR_MIN_RUNS`]+ runs, where fixed
-    // startup costs are amortized away.
+    let too_few = |what: &str, runs: u64| {
+        format!(
+            "{what} floor skipped: {runs} runs too few to amortize startup \
+             (floor engages at {FLEET_FLOOR_MIN_RUNS}+)"
+        )
+    };
+    // Serial throughput floor: the serial rung — the configuration the
+    // pinned previous-generation figure was measured in — must beat
+    // `fleet_runs_per_sec_prev` by `min_fleet_speedup`.
     match (
         json::read_number(baseline, "fleet_runs_per_sec_prev"),
         json::read_number(baseline, "min_fleet_speedup"),
     ) {
-        (Some(prev), Some(floor))
-            if result.threads == 1 && result.total_runs >= FLEET_FLOOR_MIN_RUNS =>
-        {
-            let ratio = result.runs_per_sec() / prev.max(1e-9);
-            if ratio < floor {
-                failures.push(format!(
-                    "fleet throughput {:.0} runs/s is {ratio:.2}x the previous {prev:.0} \
-                     runs/s, below the {floor:.2}x floor",
-                    result.runs_per_sec()
-                ));
-            } else {
-                notes.push(format!(
-                    "fleet throughput: {:.0} runs/s = {ratio:.2}x previous ({prev:.0}), \
-                     floor {floor:.2}x",
-                    result.runs_per_sec()
-                ));
-            }
-        }
-        (Some(_), Some(_)) if result.threads != 1 => notes.push(format!(
-            "fleet throughput floor skipped: measured with {} threads, reference is serial",
-            result.threads
-        )),
-        (Some(_), Some(_)) => notes.push(format!(
-            "fleet throughput floor skipped: {} runs too few to amortize startup \
-             (floor engages at {FLEET_FLOOR_MIN_RUNS}+)",
-            result.total_runs
-        )),
+        (Some(prev), Some(floor)) if serial.total_runs >= FLEET_FLOOR_MIN_RUNS => gate_floor(
+            "serial fleet throughput",
+            serial.runs_per_sec() / prev.max(1e-9),
+            floor,
+            format!(
+                "{:.0} runs/s vs previous {prev:.0} runs/s",
+                serial.runs_per_sec()
+            ),
+            &mut notes,
+            &mut failures,
+        ),
+        (Some(_), Some(_)) => notes.push(too_few("serial fleet throughput", serial.total_runs)),
         _ => notes.push("baseline has no fleet throughput floor; skipped".into()),
     }
-    if failures.is_empty() {
-        Ok(notes)
-    } else {
-        Err(failures)
+    // Pool speedup floor: only where the host has cores to scale onto,
+    // capped so small hosts are not asked for more than they can give.
+    match json::read_number(baseline, "min_parallel_speedup") {
+        Some(_) if cores < 2 || result.threads < 2 => notes.push(format!(
+            "parallel speedup floor skipped: {cores} core(s), {} worker(s)",
+            result.threads
+        )),
+        Some(_) if result.total_runs < FLEET_FLOOR_MIN_RUNS => {
+            notes.push(too_few("parallel speedup", result.total_runs))
+        }
+        Some(floor) => gate_floor(
+            "parallel speedup",
+            ladder.parallel_speedup(),
+            floor.min(cores as f64 * 0.75),
+            format!(
+                "{} workers vs serial, baseline {floor:.2}x capped for {cores} cores",
+                result.threads
+            ),
+            &mut notes,
+            &mut failures,
+        ),
+        None => notes.push("baseline has no min_parallel_speedup; floor skipped".into()),
     }
+    (notes, failures)
 }
 
 #[cfg(test)]
@@ -715,7 +844,7 @@ mod tests {
 
     #[test]
     fn small_fleet_runs_clean_and_counts_add_up() {
-        let result = run_fleet(28, 1);
+        let result = run_fleet(28, 1, &[]);
         // 28 requested / (7 chips * 2 modes) = 2 seeds per chip.
         assert_eq!(result.seeds_per_chip, 2);
         assert_eq!(result.total_runs, 28);
@@ -727,6 +856,18 @@ mod tests {
             let rec = corpus_record(o);
             assert_eq!(CorpusRecord::decode(&rec.encode()).unwrap(), rec);
         }
+    }
+
+    /// The notes of a gate run that must pass.
+    fn passed((notes, failures): (Vec<String>, Vec<String>)) -> Vec<String> {
+        assert!(failures.is_empty(), "{failures:?}");
+        notes
+    }
+
+    /// The failures of a gate run that must fail.
+    fn failed((_, failures): (Vec<String>, Vec<String>)) -> Vec<String> {
+        assert!(!failures.is_empty(), "gate passed");
+        failures
     }
 
     /// A plausible measured cost for gate tests: restore 50x cheaper
@@ -759,72 +900,144 @@ mod tests {
         );
     }
 
+    /// A ladder whose rates are pinned: the serial rung at `serial`
+    /// runs/s and the fleet rung at `parallel` runs/s on `threads`
+    /// workers, both large enough to engage the throughput floors. The
+    /// reports are a real (tiny) campaign's, so they match.
+    fn pinned_ladder(threads: usize, serial: f64, parallel: f64) -> Ladder {
+        let mut ladder = run_ladder(14, 1, &[]);
+        ladder.fleet.threads = threads;
+        ladder.fleet.total_runs = FLEET_FLOOR_MIN_RUNS;
+        ladder.fleet.wall_ms = FLEET_FLOOR_MIN_RUNS as f64 / parallel * 1e3;
+        ladder.serial.total_runs = FLEET_FLOOR_MIN_RUNS;
+        ladder.serial.wall_ms = FLEET_FLOOR_MIN_RUNS as f64 / serial * 1e3;
+        ladder
+    }
+
     #[test]
     fn check_gates_each_dimension() {
-        let result = run_fleet(14, 1);
+        let ladder = run_ladder(14, 1, &[]);
         let cost = sample_cost();
         let baseline = "{\"min_restore_speedup\": 20.0, \"min_midrun_restore_speedup\": 1.5}";
-        let notes = check(&result, &cost, &[], baseline).unwrap();
+        let notes = passed(check(&ladder, &cost, &[], baseline, 1));
         assert!(notes.iter().any(|n| n.contains("restore speedup")));
         assert!(notes.iter().any(|n| n.contains("midrun restore speedup")));
         // Equivalence failure fails the gate.
         let eq = vec!["chip X diverged".to_string()];
-        assert!(check(&result, &cost, &eq, baseline).is_err());
+        failed(check(&ladder, &cost, &eq, baseline, 1));
         // Restore speedup below the floor fails the gate.
         let slow = ResetCost {
             boot_us: 100.0,
             ..sample_cost()
         };
-        assert!(check(&result, &slow, &[], baseline).is_err());
+        failed(check(&ladder, &slow, &[], baseline, 1));
         // Midrun speedup below its floor fails the gate.
         let slow_midrun = ResetCost {
             midrun_us: 29.0,
             ..sample_cost()
         };
-        assert!(check(&result, &slow_midrun, &[], baseline).is_err());
+        failed(check(&ladder, &slow_midrun, &[], baseline, 1));
         // No floors in the baseline: skipped with notes.
-        let notes = check(&result, &slow, &[], "{}").unwrap();
+        let notes = passed(check(&ladder, &slow, &[], "{}", 1));
         assert!(notes.iter().any(|n| n.contains("skipped")), "{notes:?}");
     }
 
     #[test]
-    fn check_gates_fleet_throughput_against_previous_figure() {
-        let mut result = run_fleet(14, 1);
-        // Pretend the campaign was large enough to amortize startup —
-        // the floor compares runs_per_sec(), which we pin via wall_ms.
-        let rate = result.runs_per_sec();
-        result.total_runs = FLEET_FLOOR_MIN_RUNS;
-        result.wall_ms = FLEET_FLOOR_MIN_RUNS as f64 / rate * 1e3;
+    fn ladder_runs_one_rung_per_distinct_worker_count() {
+        // One worker: the serial rung is the fleet rung, not a rerun.
+        let one = run_ladder(14, 1, &[]);
+        assert_eq!(one.fleet.threads, 1);
+        assert!(one.deterministic());
+        assert_eq!(one.serial.wall_ms, one.fleet.wall_ms);
+        let notes = passed(check(&one, &sample_cost(), &[], "{}", 4));
+        assert!(notes.iter().any(|n| n.contains("one rung")), "{notes:?}");
+        // Two workers: a separate parallel rung, byte-identical report.
+        let two = run_ladder(14, 2, &[]);
+        assert_eq!(two.fleet.threads, 2);
+        assert_eq!(two.serial.total_runs, two.fleet.total_runs);
+        assert!(two.deterministic());
+        let notes = passed(check(&two, &sample_cost(), &[], "{}", 4));
+        assert!(
+            notes.iter().any(|n| n.contains("byte-identical")),
+            "{notes:?}"
+        );
+    }
+
+    #[test]
+    fn check_fails_when_the_rungs_reports_differ() {
+        let mut ladder = run_ladder(14, 2, &[]);
+        ladder.serial.report = ladder.serial.report.replacen("nrf52840dk", "nrf52840XX", 1);
+        assert!(!ladder.deterministic());
+        let failures = failed(check(&ladder, &sample_cost(), &[], "{}", 2));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].contains("determinism") && failures[0].contains("nrf52840XX"),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn check_enforces_parallel_speedup_floor_only_with_cores() {
+        let baseline = "{\"min_parallel_speedup\": 3.0}";
         let cost = sample_cost();
-        // An absurdly low previous figure: any real campaign clears 1.5x.
-        let pass = "{\"fleet_runs_per_sec_prev\": 0.001, \"min_fleet_speedup\": 1.5}";
-        let notes = check(&result, &cost, &[], pass).unwrap();
-        assert!(notes.iter().any(|n| n.contains("fleet throughput")));
-        // An unreachable previous figure fails the gate.
-        let fail = "{\"fleet_runs_per_sec_prev\": 1e15, \"min_fleet_speedup\": 1.5}";
-        let failures = check(&result, &cost, &[], fail).unwrap_err();
-        assert!(failures.iter().any(|f| f.contains("below the 1.50x floor")));
-        // A small campaign skips the floor: startup costs are not
-        // amortized, so the measured rate is not comparable.
-        let small = run_fleet(14, 1);
-        let notes = check(&small, &cost, &[], fail).unwrap();
+        // 8 cores, 8 workers: 1.11x misses the 3x floor.
+        let slow = pinned_ladder(8, 900.0, 1000.0);
+        let failures = failed(check(&slow, &cost, &[], baseline, 8));
+        assert!(failures[0].contains("parallel speedup"), "{failures:?}");
+        // 1 core: the floor is skipped, determinism still checked.
+        let notes = passed(check(&slow, &cost, &[], baseline, 1));
+        assert!(notes.iter().any(|n| n.contains("determinism")), "{notes:?}");
+        // 2 cores: the floor is capped at 1.5x, still missed at 1.11x...
+        let failures = failed(check(&slow, &cost, &[], baseline, 2));
+        assert!(failures[0].contains("floor 1.50x"), "{failures:?}");
+        // ...and cleared at 1.6x, though the uncapped 3x is not.
+        let capped = pinned_ladder(2, 1000.0, 1600.0);
+        passed(check(&capped, &cost, &[], baseline, 2));
+        // A clean 4x ladder passes on 8 cores with a note.
+        let fast = pinned_ladder(8, 1000.0, 4000.0);
+        let notes = passed(check(&fast, &cost, &[], baseline, 8));
+        assert!(
+            notes.iter().any(|n| n.contains("parallel speedup: 4.00x")),
+            "{notes:?}"
+        );
+        // A small campaign skips the floor: startup is not amortized.
+        let small = run_ladder(14, 2, &[]);
+        let notes = passed(check(&small, &cost, &[], baseline, 8));
         assert!(
             notes.iter().any(|n| n.contains("too few to amortize")),
             "{notes:?}"
         );
-        // A parallel campaign skips the (serial) throughput floor.
-        let mut parallel = run_fleet(14, 2);
-        parallel.total_runs = FLEET_FLOOR_MIN_RUNS;
-        let notes = check(&parallel, &cost, &[], fail).unwrap();
+    }
+
+    #[test]
+    fn check_gates_serial_throughput_against_previous_figure() {
+        let cost = sample_cost();
+        // An absurdly low previous figure: any real campaign clears 1.5x.
+        let ladder = pinned_ladder(2, 20_000.0, 35_000.0);
+        let pass = "{\"fleet_runs_per_sec_prev\": 0.001, \"min_fleet_speedup\": 1.5}";
+        let notes = passed(check(&ladder, &cost, &[], pass, 2));
+        assert!(notes.iter().any(|n| n.contains("serial fleet throughput")));
+        // The floor reads the serial rung, not the (faster) parallel one:
+        // 20k serial is 1.33x of 15k, under 1.5x, though 35k is not.
+        let fail = "{\"fleet_runs_per_sec_prev\": 15000, \"min_fleet_speedup\": 1.5}";
+        let failures = failed(check(&ladder, &cost, &[], fail, 2));
         assert!(
-            notes.iter().any(|n| n.contains("reference is serial")),
+            failures.iter().any(|f| f.contains("below floor 1.50x")),
+            "{failures:?}"
+        );
+        // A small campaign skips the floor: startup costs are not
+        // amortized, so the measured rate is not comparable.
+        let small = run_ladder(14, 1, &[]);
+        let notes = passed(check(&small, &cost, &[], fail, 2));
+        assert!(
+            notes.iter().any(|n| n.contains("too few to amortize")),
             "{notes:?}"
         );
     }
 
     #[test]
     fn profile_summarizes_phases_and_midrun_hits() {
-        let result = run_fleet(14, 1);
+        let result = run_fleet(14, 1, &[]);
         let prof = profile(&result);
         // Every run has a nonzero body; percentiles are ordered.
         assert!(prof.run.p50_us > 0.0);
@@ -882,7 +1095,7 @@ mod tests {
             vec![(1, 42, true), (0, 7, false)]
         );
         // The prioritized units run first and the campaign stays clean.
-        let result = run_fleet_prioritized(7 * 2 * 50, 1, &[(3, 5, true), (0, 0, false)]);
+        let result = run_fleet(7 * 2 * 50, 1, &[(3, 5, true), (0, 0, false)]);
         assert_eq!(result.prioritized, 2);
         let head: Vec<Unit> = result.outcomes[..2]
             .iter()
@@ -895,15 +1108,28 @@ mod tests {
 
     #[test]
     fn render_json_round_trips_key_fields() {
-        let result = run_fleet(14, 1);
-        let prof = profile(&result);
+        let ladder = pinned_ladder(2, 1000.0, 1500.0);
+        let prof = profile(&ladder.fleet);
         let cost = ResetCost {
             boot_us: 500.0,
             ..sample_cost()
         };
-        let doc = render_json(&result, &cost, &prof, &[], 4);
+        let doc = render_json(&ladder, &cost, &prof, &[], 4);
         assert!(doc.contains("\"experiment\": \"e_fleet\""));
-        assert_eq!(json::read_number(&doc, "total_runs"), Some(14.0));
+        assert_eq!(
+            json::read_number(&doc, "total_runs"),
+            Some(FLEET_FLOOR_MIN_RUNS as f64)
+        );
+        assert_eq!(json::read_number(&doc, "threads"), Some(2.0));
+        assert_eq!(json::read_number(&doc, "serial_runs_per_sec"), Some(1000.0));
+        assert_eq!(json::read_number(&doc, "parallel_speedup"), Some(1.5));
+        assert!(doc.contains("\"deterministic\": true"));
+        let chip = &ladder.fleet.reports[0];
+        assert!(doc.contains(&format!(
+            "\"recovery_cycles_warm_mean\": {}, \"recovery_cycles_cold_mean\": {}",
+            json::num(chip.warm_mean()),
+            json::num(chip.cold_mean())
+        )));
         assert_eq!(json::read_number(&doc, "restore_speedup"), Some(25.0));
         assert_eq!(json::read_number(&doc, "midrun_restore_speedup"), Some(3.0));
         assert_eq!(json::read_number(&doc, "failures"), Some(0.0));
@@ -919,7 +1145,7 @@ mod tests {
 
     #[test]
     fn shrink_failures_is_empty_on_a_clean_fleet() {
-        let result = run_fleet(14, 1);
+        let result = run_fleet(14, 1, &[]);
         assert!(shrink_failures(&result.outcomes, 10).is_empty());
     }
 }

@@ -14,6 +14,7 @@
 //! roughly what factor, where the crossovers fall — is the reproduction
 //! target, recorded in `EXPERIMENTS.md`.
 
+pub mod args;
 pub mod e62;
 pub mod explore;
 pub mod fig10;
@@ -24,7 +25,6 @@ pub mod incremental;
 pub mod json;
 pub mod reports;
 pub mod switch;
-pub mod throughput;
 
 /// Formats a `±x.xx%` difference the way Fig. 11 prints it.
 pub fn pct_diff(ticktock: f64, tock: f64) -> String {

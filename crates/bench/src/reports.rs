@@ -1,51 +1,14 @@
-//! Shared report/JSON rendering for the campaign and differential bins.
+//! Shared report/JSON rendering for the differential bin.
 //!
-//! The `e_fault_campaign` and `e61_differential` binaries used to build
-//! their `BENCH_*.json` documents inline in `main`; the throughput
-//! engine needs the exact same bytes from library code — both to report
-//! a run and to *assert* that a parallel run's artifacts are
-//! byte-identical to a serial run's. Wall-clock time is the one
-//! legitimately nondeterministic field, so it is a parameter: the
-//! determinism tests pass a fixed value and compare whole documents.
+//! `e61_differential` renders its `BENCH_e61.json` document from library
+//! code so the determinism tests can assert that a parallel run's
+//! artifact is byte-identical to a serial run's. Wall-clock time is the
+//! one legitimately nondeterministic field, so it is a parameter: the
+//! tests pass a fixed value and compare whole documents.
 
 use crate::json;
 use tt_hw::platform::ChipProfile;
-use tt_kernel::campaign::ChipReport;
 use tt_kernel::differential::DiffResult;
-
-/// Renders the `BENCH_fault.json` document for a campaign run.
-pub fn campaign_json(reports: &[ChipReport], seeds: u64, wall_ms: f64) -> String {
-    let failures: usize = reports.iter().map(|r| r.failures.len()).sum();
-    let mut doc = String::new();
-    doc.push_str("{\n  \"experiment\": \"e_fault_campaign\",\n");
-    doc.push_str(&format!("  \"seeds_per_chip\": {seeds},\n"));
-    doc.push_str(&format!(
-        "  \"injected_runs\": {},\n",
-        reports.iter().map(|r| r.runs * 2).sum::<u64>()
-    ));
-    doc.push_str(&format!("  \"failures\": {failures},\n"));
-    doc.push_str(&format!("  \"wall_clock_ms\": {},\n", json::num(wall_ms)));
-    doc.push_str("  \"chips\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\"chip\": \"{}\", \"runs\": {}, \"fired\": {}, \"recoveries\": {}, \
-             \"restarts\": {}, \"killed\": {}, \"recovery_cycles_warm_mean\": {}, \
-             \"recovery_cycles_cold_mean\": {}, \"failures\": {}}}{}\n",
-            json::escape(r.chip),
-            r.runs * 2,
-            r.fired,
-            r.recoveries,
-            r.restarts,
-            r.killed,
-            json::num(r.warm_mean()),
-            json::num(r.cold_mean()),
-            r.failures.len(),
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ]\n}\n");
-    doc
-}
 
 /// Renders the `BENCH_e61.json` document for an all-chips differential
 /// run.

@@ -1,6 +1,6 @@
-//! The throughput engine's determinism contract, end to end: every
-//! artifact the parallel runners produce — campaign text report,
-//! `BENCH_fault.json`, `BENCH_e61.json` — must be byte-identical to the
+//! The pool's determinism contract, end to end: every artifact the
+//! parallel runners produce — the campaign's rendered report and raw
+//! per-chip tallies, `BENCH_e61.json` — must be byte-identical to the
 //! serial runner's, at any worker count and across repeated invocations
 //! of the same seeds.
 //!
@@ -11,30 +11,29 @@
 
 use proptest::prelude::*;
 use tt_bench::reports;
-use tt_bench::throughput::measure;
-use tt_hw::platform::{HIFIVE1, NRF52840DK};
-use tt_kernel::campaign::{render_report as render_campaign, run_campaign_on};
+use tt_hw::platform::{ChipProfile, ALL_CHIPS, HIFIVE1, NRF52840DK};
+use tt_kernel::campaign::{render_report as render_campaign, run_campaign_profiled};
 use tt_kernel::differential::{
     render_report as render_diff, run_release_suite_all_chips_with_threads,
     run_release_suite_on_with_threads,
 };
 
+/// A campaign's artifacts: the rendered report, then the raw per-chip
+/// tallies (exact recovery-cycle sums included, which the report only
+/// prints as rounded means).
+fn campaign_artifact(chips: &[ChipProfile], seeds: u64, threads: usize) -> String {
+    let reports = run_campaign_profiled(chips, seeds, threads, &[]).reports;
+    format!("{}{reports:#?}", render_campaign(&reports, seeds))
+}
+
 #[test]
 fn campaign_artifacts_are_byte_identical_serial_vs_parallel() {
     let chips = [NRF52840DK, HIFIVE1];
-    let serial = run_campaign_on(&chips, 3, 1);
-    let serial_text = render_campaign(&serial, 3);
-    let serial_json = reports::campaign_json(&serial, 3, 0.0);
+    let serial = campaign_artifact(&chips, 3, 1);
     for threads in [2, 8] {
-        let parallel = run_campaign_on(&chips, 3, threads);
         assert_eq!(
-            serial_text,
-            render_campaign(&parallel, 3),
-            "threads = {threads}"
-        );
-        assert_eq!(
-            serial_json,
-            reports::campaign_json(&parallel, 3, 0.0),
+            serial,
+            campaign_artifact(&chips, 3, threads),
             "threads = {threads}"
         );
     }
@@ -56,27 +55,40 @@ fn e61_artifacts_are_byte_identical_serial_vs_parallel() {
 
 #[test]
 fn same_seed_invocations_are_byte_identical() {
-    // Two full measurements of the same workload at a parallel worker
-    // count: scheduling differs between invocations, artifacts may not.
-    let a = measure(2, 4);
-    let b = measure(2, 4);
-    assert_eq!(a.campaign_artifact, b.campaign_artifact);
-    assert_eq!(a.diff_artifact, b.diff_artifact);
-    assert_eq!(a.sample.campaign_runs, b.sample.campaign_runs);
-    assert_eq!(a.sample.diff_runs, b.sample.diff_runs);
+    // Two full runs of the same workload at a parallel worker count:
+    // scheduling differs between invocations, artifacts may not.
+    let a = run_campaign_profiled(&ALL_CHIPS, 2, 4, &[]);
+    let b = run_campaign_profiled(&ALL_CHIPS, 2, 4, &[]);
+    assert_eq!(
+        format!("{}{:#?}", render_campaign(&a.reports, 2), a.reports),
+        format!("{}{:#?}", render_campaign(&b.reports, 2), b.reports)
+    );
+    // 7 chips × 2 seeds × 2 cache modes.
+    assert_eq!(a.outcomes.len(), 28);
+    assert_eq!(b.outcomes.len(), 28);
+    let diff_a = run_release_suite_all_chips_with_threads(4);
+    let diff_b = run_release_suite_all_chips_with_threads(4);
+    assert_eq!(
+        reports::e61_json(&diff_a, 0.0),
+        reports::e61_json(&diff_b, 0.0)
+    );
+    // 7 chips × 21 tests, each booting both kernels.
+    let tests: usize = diff_a.iter().map(|(_, results)| results.len()).sum();
+    assert_eq!(tests, 7 * 21);
 }
 
 proptest! {
     // Shrunk case count: each case boots dozens of simulated kernels.
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn campaign_json_is_thread_count_invariant(
+    fn campaign_report_is_thread_count_invariant(
         seeds in 1u64..4,
         threads in 2usize..10,
     ) {
         let chips = [NRF52840DK];
-        let serial = reports::campaign_json(&run_campaign_on(&chips, seeds, 1), seeds, 0.0);
-        let parallel = reports::campaign_json(&run_campaign_on(&chips, seeds, threads), seeds, 0.0);
-        prop_assert_eq!(serial, parallel);
+        prop_assert_eq!(
+            campaign_artifact(&chips, seeds, 1),
+            campaign_artifact(&chips, seeds, threads)
+        );
     }
 }

@@ -28,7 +28,7 @@ use crate::trace::{
 };
 use tt_contracts::{take_violations, with_mode, Mode};
 use tt_hw::injection::{self, InjectionPlan};
-use tt_hw::platform::{ChipProfile, ALL_CHIPS};
+use tt_hw::platform::ChipProfile;
 use tt_hw::sched::{self, InterruptSchedule, ALL_ARRIVAL_POINTS};
 use tt_hw::trace;
 
@@ -1298,26 +1298,6 @@ fn reference_report(chip: &ChipProfile, reference: &ChipReference) -> ChipReport
     report
 }
 
-/// [`run_campaign_on`], additionally returning the per-unit outcomes in
-/// schedule order (chip-major, then seed, warm before cold) — the raw
-/// material for `ci/corpus/` persistence and the fleet benchmark.
-///
-/// Work fans out over [`pool::run_indexed_ctx`]: each worker lazily
-/// boots one [`FleetRunner`] per `(chip, cache-mode)` slot it draws work
-/// for, and every unit after the first on a slot is a
-/// [`MachineSnapshot::restore`] instead of a [`Kernel::boot`]. Results
-/// merge in unit order, and restored runs are byte-identical to fresh
-/// boots, so the returned reports — failure strings included — are
-/// byte-identical for any thread count.
-pub fn run_campaign_detailed(
-    chips: &[ChipProfile],
-    seeds: u64,
-    threads: usize,
-) -> (Vec<ChipReport>, Vec<UnitOutcome>) {
-    let result = run_campaign_profiled(chips, seeds, threads, &[]);
-    (result.reports, result.outcomes)
-}
-
 /// Everything one profiled fleet campaign produces: the per-chip
 /// reports, the per-unit outcomes (with wall-clock phase timings), and
 /// the snapshot-capture amortization tallies.
@@ -1333,8 +1313,21 @@ pub struct CampaignResult {
     pub capture_ns: u64,
 }
 
-/// [`run_campaign_detailed`] plus capture amortization and
-/// corpus-guided scheduling: units listed in `priority` (previously
+/// Runs the campaign — one reference per chip, then every `(chip, seed,
+/// cache-mode)` injected run for `seeds` seeds — on a work-stealing pool
+/// of `threads` workers (1 = serial), returning the per-chip reports,
+/// the per-unit outcomes (the raw material for `ci/corpus/` persistence
+/// and the fleet benchmark) and the capture amortization tallies.
+///
+/// The unit of work is a single run, not a whole chip, so cores stay
+/// busy through the tail of the campaign. Each worker lazily boots one
+/// [`FleetRunner`] per `(chip, cache-mode)` slot it draws work for, and
+/// every unit after the first on a slot is a [`MachineSnapshot::restore`]
+/// instead of a [`Kernel::boot`]. Results merge in unit order, and
+/// restored runs are byte-identical to fresh boots, so the reports —
+/// failure strings included — are byte-identical for any thread count.
+///
+/// Corpus-guided scheduling: units listed in `priority` (previously
 /// failing `(chip, seed, cold)` triples, typically decoded from
 /// `ci/corpus/failures.bin`) are scheduled *first*, so regressions
 /// surface in the opening seconds of a million-run campaign instead of
@@ -1420,15 +1413,6 @@ pub fn run_campaign_profiled(
     }
 }
 
-/// Runs the campaign over any chip slice on a work-stealing pool of
-/// `threads` workers. The unit of work is a single `(chip, seed,
-/// warm/cold)` run — not a whole chip — so cores stay busy through the
-/// tail of the campaign. See [`run_campaign_detailed`] for the fleet
-/// (snapshot/restore) execution scheme and the determinism argument.
-pub fn run_campaign_on(chips: &[ChipProfile], seeds: u64, threads: usize) -> Vec<ChipReport> {
-    run_campaign_detailed(chips, seeds, threads).0
-}
-
 // ---------------------------------------------------------------------
 // Shrinking a failing seed.
 // ---------------------------------------------------------------------
@@ -1475,27 +1459,6 @@ pub fn shrink_failing_seed(chip: &ChipProfile, seed: u64, cold: bool) -> Injecti
     })
 }
 
-/// Runs `seeds` injection runs (plus one reference and a cold-cache
-/// pass) against one chip, serially on the calling thread.
-pub fn run_chip_campaign(chip: &ChipProfile, seeds: u64) -> ChipReport {
-    run_campaign_on(std::slice::from_ref(chip), seeds, 1)
-        .pop()
-        .expect("one chip, one report")
-}
-
-/// Runs the campaign on all seven chips over the work-stealing pool
-/// sized by [`pool::default_threads`] (`TT_BENCH_THREADS` or the
-/// machine's available parallelism).
-pub fn run_campaign(seeds: u64) -> Vec<ChipReport> {
-    run_campaign_with_threads(seeds, pool::default_threads())
-}
-
-/// [`run_campaign`] with an explicit worker count (1 = serial). Reports
-/// are byte-identical across thread counts.
-pub fn run_campaign_with_threads(seeds: u64, threads: usize) -> Vec<ChipReport> {
-    run_campaign_on(&ALL_CHIPS, seeds, threads)
-}
-
 /// Renders the campaign table plus any failures.
 pub fn render_report(reports: &[ChipReport], seeds: u64) -> String {
     let mut out = String::new();
@@ -1538,7 +1501,7 @@ pub fn render_report(reports: &[ChipReport], seeds: u64) -> String {
 mod tests {
     use super::*;
     use proptest::proptest;
-    use tt_hw::platform::{HIFIVE1, NRF52840DK};
+    use tt_hw::platform::{ALL_CHIPS, HIFIVE1, NRF52840DK};
 
     #[test]
     fn reference_run_is_clean_and_deterministic() {
@@ -1553,25 +1516,33 @@ mod tests {
         );
     }
 
+    /// One chip's serial campaign report.
+    fn chip_report(chip: ChipProfile, seeds: u64) -> ChipReport {
+        run_campaign_profiled(&[chip], seeds, 1, &[])
+            .reports
+            .pop()
+            .expect("one chip, one report")
+    }
+
     #[test]
     fn arm_campaign_smoke_holds_the_oracle() {
-        let report = run_chip_campaign(&NRF52840DK, 4);
+        let report = chip_report(NRF52840DK, 4);
         assert_eq!(report.runs, 4);
         assert!(report.failures.is_empty(), "{:#?}", report.failures);
     }
 
     #[test]
     fn pmp_campaign_smoke_holds_the_oracle() {
-        let report = run_chip_campaign(&HIFIVE1, 3);
+        let report = chip_report(HIFIVE1, 3);
         assert!(report.failures.is_empty(), "{:#?}", report.failures);
     }
 
     #[test]
     fn parallel_campaign_report_is_byte_identical_to_serial() {
         let chips = [NRF52840DK, HIFIVE1];
-        let serial = run_campaign_on(&chips, 3, 1);
+        let serial = run_campaign_profiled(&chips, 3, 1, &[]).reports;
         for threads in [2, 8] {
-            let parallel = run_campaign_on(&chips, 3, threads);
+            let parallel = run_campaign_profiled(&chips, 3, threads, &[]).reports;
             assert_eq!(
                 render_report(&serial, 3),
                 render_report(&parallel, 3),
@@ -1763,7 +1734,7 @@ mod tests {
         assert_eq!(sorted.len(), schedule.len(), "a unit ran twice");
         // Same campaign without priority: identical aggregate reports
         // (failure order could differ by design, but these runs pass).
-        let (baseline, _) = run_campaign_detailed(&chips, 2, 1);
+        let baseline = run_campaign_profiled(&chips, 2, 1, &[]).reports;
         assert_eq!(
             render_report(&baseline, 2),
             render_report(&result.reports, 2)
@@ -1811,9 +1782,11 @@ mod tests {
     }
 
     #[test]
-    fn detailed_campaign_outcomes_match_schedule_order() {
+    fn campaign_outcomes_match_schedule_order() {
         let chips = [NRF52840DK, HIFIVE1];
-        let (reports, outcomes) = run_campaign_detailed(&chips, 2, 1);
+        let CampaignResult {
+            reports, outcomes, ..
+        } = run_campaign_profiled(&chips, 2, 1, &[]);
         assert_eq!(outcomes.len(), chips.len() * 2 * 2);
         let schedule: Vec<(usize, u64, bool)> =
             outcomes.iter().map(|o| (o.chip, o.seed, o.cold)).collect();
