@@ -22,6 +22,7 @@ use crate::source::{scan_file, workspace_sources, ScannedFile};
 use crate::staleness::{self, StaleEntry};
 use crate::{coverage, crosscheck, tcb};
 use tt_contracts::obligation::Registry;
+use tt_contracts::pool;
 use tt_contracts::span::Fnv;
 use tt_contracts::vcache::{verdict_key, LoadOutcome, Verdict, VerdictCache};
 
@@ -53,11 +54,20 @@ pub fn workspace_root() -> PathBuf {
 /// The default allowlist location, relative to the workspace root.
 pub const DEFAULT_CONFIG: &str = "ci/tcb_allowlist.toml";
 
-/// Loads and scans the audited source set under `root`.
+/// Loads and scans the audited source set under `root` on
+/// [`pool::default_threads`] workers: `tt-audit`'s scan and the verifier's
+/// [`tt_contracts::span::SourceIndex`] both start here.
 pub fn load_workspace(root: &Path) -> Vec<ScannedFile> {
-    workspace_sources(root)
-        .iter()
-        .filter_map(|p| scan_file(root, p))
+    load_workspace_with_threads(root, pool::default_threads())
+}
+
+/// [`load_workspace`] on `threads` workers: one file per pool unit,
+/// merged in path order, so the result is the same at any worker count.
+pub fn load_workspace_with_threads(root: &Path, threads: usize) -> Vec<ScannedFile> {
+    let paths = workspace_sources(root);
+    pool::run_indexed(&paths, threads, |_, p| scan_file(root, p))
+        .into_iter()
+        .flatten()
         .collect()
 }
 
@@ -321,6 +331,35 @@ mod tests {
             .any(|f| f.rel_path == "crates/core/src/breaks.rs"));
         // Shims and test dirs stay out of the audited set.
         assert!(files.iter().all(|f| !f.rel_path.starts_with("shims/")));
+    }
+
+    #[test]
+    fn parallel_scan_matches_a_serial_scan() {
+        use tt_contracts::span::SourceIndex;
+        let root = workspace_root();
+        let serial: Vec<ScannedFile> = workspace_sources(&root)
+            .iter()
+            .filter_map(|p| scan_file(&root, p))
+            .collect();
+        let serial_index = SourceIndex::from_files(&serial);
+        for threads in [1, 2, 8] {
+            let files = load_workspace_with_threads(&root, threads);
+            let paths = |fs: &[ScannedFile]| -> Vec<String> {
+                fs.iter().map(|f| f.rel_path.clone()).collect()
+            };
+            assert_eq!(paths(&files), paths(&serial), "threads = {threads}");
+            let index = SourceIndex::from_files(&files);
+            assert_eq!(index.workspace_hash(), serial_index.workspace_hash());
+            for f in &serial {
+                assert_eq!(
+                    index.file_hash(&f.rel_path),
+                    serial_index.file_hash(&f.rel_path)
+                );
+                for span in &f.fns {
+                    assert_eq!(index.fn_hash(&span.name), serial_index.fn_hash(&span.name));
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,44 @@ pub fn path(args: &[String], flag: &str, default: &str) -> Option<String> {
     )
 }
 
+/// The value following `flag`: `None` when the flag is absent. A flag
+/// given as the last argument or followed by another flag prints an
+/// error naming the flag and exits with status 2.
+pub fn value(args: &[String], flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+        Some(v) => Some(v.clone()),
+        None => {
+            eprintln!("error: {flag} needs a value");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// The first argument that is neither one of `switches` or `valued`, nor
+/// the value right after a `valued` flag.
+fn first_unknown<'a>(args: &'a [String], switches: &[&str], valued: &[&str]) -> Option<&'a str> {
+    let mut after_valued = false;
+    for a in args {
+        let is_value = after_valued && !a.starts_with("--");
+        after_valued = valued.contains(&a.as_str());
+        if !is_value && !after_valued && !switches.contains(&a.as_str()) {
+            return Some(a);
+        }
+    }
+    None
+}
+
+/// Exits with status 2, naming the argument, when `args` holds anything
+/// but the `switches`, the `valued` flags and the values right after
+/// them: a mistyped flag must not silently fall back to a default.
+pub fn only(args: &[String], switches: &[&str], valued: &[&str]) {
+    if let Some(a) = first_unknown(args, switches, valued) {
+        eprintln!("error: unknown argument {a:?}");
+        std::process::exit(2)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,5 +120,17 @@ mod tests {
         assert_eq!(path(&args, "--check", "x").as_deref(), Some("ci/b.json"));
         assert_eq!(path(&args, "--corpus", "c").as_deref(), Some("c"));
         assert_eq!(path(&args, "--profile", "p"), None);
+    }
+
+    #[test]
+    fn first_unknown_accepts_switches_flags_and_their_values_only() {
+        let (switches, valued) = (&["--quick", "--cold"][..], &["--json", "--check"][..]);
+        let ok = argv("--quick --json out.json --check --cold");
+        assert_eq!(first_unknown(&ok, switches, valued), None);
+        let typo = argv("--quick --chek ci/b.json");
+        assert_eq!(first_unknown(&typo, switches, valued), Some("--chek"));
+        // A bare word is a value only right after a valued flag.
+        let stray = argv("--cold stray");
+        assert_eq!(first_unknown(&stray, switches, valued), Some("stray"));
     }
 }

@@ -31,9 +31,9 @@ use tt_bench::explore::{
     check, explore_json, explore_records, planted_demo, render, replay_schedule_records,
     run_explore_fleet, schedule_corpus,
 };
+use tt_contracts::pool;
 use tt_hw::platform::{ALL_CHIPS, NRF52840DK};
 use tt_kernel::corpus::write_corpus;
-use tt_kernel::pool;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -55,8 +55,8 @@ use tt_bench::fleet::{
     priority_from_corpus, profile, render, render_json, render_profile, run_ladder,
     shrink_failures,
 };
+use tt_contracts::pool;
 use tt_kernel::corpus::write_corpus;
-use tt_kernel::pool;
 
 /// Reset-cost probe iterations per chip.
 const RESET_COST_ITERS: u32 = 50;

@@ -8,39 +8,58 @@
 //!
 //! Incremental mode (the default) persists per-function verdicts in
 //! `ci/verify_cache.bin`: a warm re-run on an unchanged tree skips every
-//! discharge and finishes sub-second. Flags:
+//! discharge and finishes sub-second. Cache misses are discharged on the
+//! work-stealing pool, `TT_BENCH_THREADS` workers (default: every core).
+//! Flags:
 //!
 //! * `--quick`            — reduced effort densities (tier-1 CI)
 //! * `--cold`             — discard any existing cache first (records the
 //!   cold wall the warm speedup gate divides against)
-//! * `--no-cache`         — legacy non-incremental run, no cache I/O
+//! * `--no-cache`         — non-incremental run, no cache I/O
 //! * `--cache <path>`     — cache file location (default `ci/verify_cache.bin`)
 //! * `--json <path>`      — write the BENCH_fig12.json artifact
-//! * `--check <baseline>` — enforce the warm-run floors from
-//!   `ci/bench_baseline.json` (hit rate, wall ceiling, speedup)
+//! * `--check [baseline]` — enforce the warm-run floors from the baseline
+//!   (default `ci/bench_baseline.json`: hit rate, wall ceiling, speedup)
+//!
+//! A missing `--cache`/`--json` value or an unknown argument exits 2,
+//! and an unreadable baseline exits 1, before anything is verified.
 
 use std::process::ExitCode;
+use tt_bench::args;
 use tt_bench::fig12::{build_registry, Effort};
 use tt_bench::incremental;
 use tt_contracts::vcache::LoadOutcome;
 use tt_contracts::verifier::{fmt_duration, Verifier};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    args::only(
+        &args,
+        &["--quick", "--cold", "--no-cache"],
+        &["--cache", "--json", "--check"],
+    );
     let quick = args.iter().any(|a| a == "--quick");
     let cold = args.iter().any(|a| a == "--cold");
     let no_cache = args.iter().any(|a| a == "--no-cache");
-    let json_path = arg_value(&args, "--json");
-    let check_path = arg_value(&args, "--check");
-    let cache_arg = arg_value(&args, "--cache");
+    let json_path = args::value(&args, "--json");
+    let cache_arg = args::value(&args, "--cache");
+    let check_path = args::path(&args, "--check", "ci/bench_baseline.json");
     let effort = if quick { Effort::QUICK } else { Effort::FULL };
     let effort_name = if quick { "quick" } else { "full" };
+    if no_cache && (json_path.is_some() || check_path.is_some()) {
+        eprintln!("error: --json/--check require the incremental cache (drop --no-cache)");
+        return ExitCode::FAILURE;
+    }
+    let baseline = match &check_path {
+        Some(path) => match std::fs::read_to_string(path) {
+            Ok(b) => Some(b),
+            Err(e) => {
+                eprintln!("error: could not read baseline {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
 
     // The Lean stand-in: exhaustive structural discharge of the lemmas.
     // Lemmas are axioms of everything else, so they are re-discharged on
@@ -79,7 +98,9 @@ fn main() -> ExitCode {
             "cold"
         };
         println!(
-            "incremental: {mode} run, hit rate {:.1}%, wall {} (cold {}), speedup {:.1}x",
+            "incremental: {mode} run on {} worker{}, hit rate {:.1}%, wall {} (cold {}), speedup {:.1}x",
+            run.threads,
+            if run.threads == 1 { "" } else { "s" },
             run.hit_rate * 100.0,
             fmt_duration(run.wall),
             fmt_duration(run.cold_wall),
@@ -93,15 +114,8 @@ fn main() -> ExitCode {
             }
             println!("wrote {path}");
         }
-        if let Some(baseline_path) = &check_path {
-            let baseline = match std::fs::read_to_string(baseline_path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: could not read baseline {baseline_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let violations = incremental::check(run, &baseline);
+        if let Some(baseline) = &baseline {
+            let violations = incremental::check(run, baseline);
             if !violations.is_empty() {
                 println!("INCREMENTAL GATE FAILED:");
                 for v in &violations {
@@ -111,9 +125,6 @@ fn main() -> ExitCode {
             }
             println!("incremental gate: warm floors hold");
         }
-    } else if json_path.is_some() || check_path.is_some() {
-        eprintln!("error: --json/--check require the incremental cache (drop --no-cache)");
-        return ExitCode::FAILURE;
     }
 
     if report.all_verified() {

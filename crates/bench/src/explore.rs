@@ -18,6 +18,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use tt_contracts::pool;
 use tt_hw::injection::InjectionPlan;
 use tt_hw::platform::{ChipProfile, ALL_CHIPS};
 use tt_hw::sched::InterruptSchedule;
@@ -26,7 +27,6 @@ use tt_kernel::corpus::{read_corpus, CorpusRecord};
 use tt_kernel::explore::{
     bystander_reference, explore, planted, validate_scheduled, ExploreOutcome, Finding,
 };
-use tt_kernel::pool;
 
 use crate::json;
 

@@ -6,11 +6,11 @@
 //! over three runs and the percentage difference.
 
 use std::collections::BTreeMap;
+use tt_contracts::pool;
 use tt_hw::cycles::{self, CycleStats};
 use tt_kernel::apps::release_tests;
 use tt_kernel::differential::run_one;
 use tt_kernel::loader::flash_app;
-use tt_kernel::pool;
 use tt_kernel::process::Flavor;
 use tt_kernel::Kernel;
 use tt_legacy::BugVariant;

@@ -47,10 +47,16 @@ impl Effort {
 /// the reproduction's own additions (the PR 2 commit-cache soundness
 /// obligation and the refined-pointer obligations of the hardware model).
 pub fn build_registry(effort: Effort) -> Registry {
+    registry_with(effort, BugVariant::Fixed)
+}
+
+/// [`build_registry`] with the monolithic kernel's obligations for
+/// `monolithic`.
+fn registry_with(effort: Effort, monolithic: BugVariant) -> Registry {
     let mut registry = Registry::new();
     tt_legacy::obligations::register_obligations(
         &mut registry,
-        BugVariant::Fixed,
+        monolithic,
         effort.monolithic_density,
     );
     ticktock::obligations::register_obligations(&mut registry, effort.granular_density);
@@ -62,9 +68,12 @@ pub fn build_registry(effort: Effort) -> Registry {
     registry
 }
 
-/// Runs the verifier over the registry.
+/// Runs the verifier over the registry on one worker. Figure 12 reports
+/// effort per function, and a discharge that shares a core with another
+/// one reads longer than it is, so the figure is measured serially;
+/// `verify_all`, whose wall time is the CI cost, uses every core.
 pub fn run(effort: Effort) -> VerificationReport {
-    Verifier::new().verify(&build_registry(effort))
+    Verifier::with_threads(1).verify(&build_registry(effort))
 }
 
 /// Renders the Fig. 12 table.
@@ -129,6 +138,32 @@ mod tests {
             intr.mean,
             gran.mean
         );
+    }
+
+    #[test]
+    fn report_is_the_same_at_any_worker_count_and_in_reverse_order() {
+        use tt_contracts::verifier::{discharge, verify_by, Discharge};
+        let registry = registry_with(Effort::QUICK, BugVariant::Buggy);
+        let serial = Verifier::with_threads(1)
+            .verify(&registry)
+            .without_timings();
+        assert!(!serial.all_verified(), "the Buggy variant must be refuted");
+        for threads in [2, 8] {
+            let parallel = Verifier::with_threads(threads).verify(&registry);
+            assert_eq!(parallel.without_timings(), serial, "threads = {threads}");
+        }
+        // One thread, last obligation first: a verdict that depended on
+        // what ran earlier on the same thread would differ here.
+        let reversed = verify_by(&registry, None, |units| {
+            let mut out: Vec<Discharge> = units
+                .iter()
+                .rev()
+                .map(|&i| discharge(&registry.obligations()[i]))
+                .collect();
+            out.reverse();
+            out
+        });
+        assert_eq!(reversed.without_timings(), serial, "reverse order");
     }
 
     #[test]

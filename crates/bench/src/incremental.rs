@@ -18,7 +18,7 @@ use crate::fig12::Effort;
 use crate::json;
 use tt_contracts::span::{Fnv, SourceIndex};
 use tt_contracts::vcache::{LoadOutcome, VerdictCache};
-use tt_contracts::verifier::VerificationReport;
+use tt_contracts::verifier::{VerificationReport, Verifier};
 
 /// Default on-disk location of the verdict cache (workspace-relative,
 /// gitignored — the cache is a build product, not a source of truth).
@@ -45,13 +45,10 @@ pub fn config_hash(effort: Effort) -> u64 {
     h.finish()
 }
 
-/// Scans the audited workspace sources into a content-hash index.
+/// Scans the audited workspace sources into a content-hash index, with
+/// the same parallel scan `tt-audit` uses.
 pub fn source_index(root: &Path) -> SourceIndex {
-    let files: Vec<_> = tt_analysis::source::workspace_sources(root)
-        .iter()
-        .filter_map(|p| tt_analysis::source::scan_file(root, p))
-        .collect();
-    SourceIndex::from_files(&files)
+    SourceIndex::from_files(&tt_analysis::audit::load_workspace(root))
 }
 
 /// Resolves the cache path: absolute stays as given, relative is anchored
@@ -80,6 +77,9 @@ pub struct IncrementalRun {
     pub cold_wall: Duration,
     /// Cache lookup hit rate for this run.
     pub hit_rate: f64,
+    /// Workers the cache misses were discharged on. Walls measured at
+    /// different worker counts are not comparable.
+    pub threads: usize,
 }
 
 impl IncrementalRun {
@@ -113,8 +113,8 @@ pub fn run(effort: Effort, path: &Path, force_cold: bool) -> IncrementalRun {
     let start = Instant::now();
     let index = source_index(&tt_analysis::audit::workspace_root());
     let registry = crate::fig12::build_registry(effort);
-    let report =
-        tt_contracts::verifier::Verifier::new().verify_incremental(&registry, &mut cache, &index);
+    let verifier = Verifier::new();
+    let report = verifier.verify_incremental(&registry, &mut cache, &index);
     let wall = start.elapsed();
 
     let hit_rate = cache.hit_rate();
@@ -135,6 +135,7 @@ pub fn run(effort: Effort, path: &Path, force_cold: bool) -> IncrementalRun {
         wall,
         cold_wall,
         hit_rate,
+        threads: verifier.threads(),
     }
 }
 
@@ -156,6 +157,7 @@ pub fn to_json(run: &IncrementalRun, effort_name: &str) -> String {
         "cold"
     };
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
+    out.push_str(&format!("  \"threads\": {},\n", run.threads));
     out.push_str(&format!(
         "  \"cache_hit_rate\": {},\n",
         format_args!("{:.4}", run.hit_rate)
@@ -275,6 +277,7 @@ mod tests {
         let doc = to_json(&cold, "quick");
         for key in [
             "cache_hit_rate",
+            "threads",
             "wall_ms",
             "cold_wall_ms",
             "speedup",
@@ -285,6 +288,10 @@ mod tests {
             assert!(doc.contains(key), "missing {key} in {doc}");
         }
         assert_eq!(json::read_number(&doc, "cache_hit_rate"), Some(0.0));
+        assert_eq!(
+            json::read_number(&doc, "threads"),
+            Some(cold.threads as f64)
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -41,11 +41,7 @@ fn seed_tree(root: &Path, beta_body: &str) {
 
 /// Scans the seeded tree into a content-hash index.
 fn index_of(root: &Path) -> SourceIndex {
-    let files: Vec<_> = tt_analysis::source::workspace_sources(root)
-        .iter()
-        .filter_map(|p| tt_analysis::source::scan_file(root, p))
-        .collect();
-    SourceIndex::from_files(&files)
+    incremental::source_index(root)
 }
 
 /// Registers one verified obligation per seeded function.

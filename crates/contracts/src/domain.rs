@@ -117,38 +117,52 @@ pub struct AllocParams {
     pub kernel_size: usize,
 }
 
-/// Enumerates an adversarial grid of allocation parameters.
+/// Enumerates an adversarial grid of allocation parameters: the
+/// concatenation of its [`alloc_param_rows`] rows, see [`alloc_param_row`].
 ///
 /// `density` scales how many points are produced (the verifier uses a higher
 /// density for the monolithic allocator, matching the paper's observation
 /// that over 90% of verification time went to `allocate_app_mem_region`).
 pub fn alloc_param_grid(ram_base: usize, ram_size: usize, density: usize) -> Vec<AllocParams> {
-    let mut out = Vec::new();
-    let start_steps = 1 + 4 * density;
+    (0..alloc_param_rows(density))
+        .flat_map(|row| alloc_param_row(ram_base, ram_size, density, row))
+        .collect()
+}
+
+/// Number of rows of [`alloc_param_grid`] at `density`: one per
+/// `unalloc_start`.
+pub fn alloc_param_rows(density: usize) -> usize {
+    1 + 4 * density
+}
+
+/// Row `row` of [`alloc_param_grid`]: every point with the row's
+/// `unalloc_start`, in grid order. `app_size` and `kernel_size` vary
+/// across subregion-granularity steps, and each pair is paired with two
+/// `min_size` demands.
+pub fn alloc_param_row(
+    ram_base: usize,
+    ram_size: usize,
+    density: usize,
+    row: usize,
+) -> impl Iterator<Item = AllocParams> {
     let size_steps = 1 + 3 * density;
-    for si in 0..start_steps {
-        // Walk starts across misalignments: subregion-size strides plus odd
-        // offsets that force the allocator's realignment path.
-        let unalloc_start = ram_base + si * 96 + (si % 3) * 4;
-        for ai in 0..size_steps {
-            let app_size = 512 + ai * 384 + (ai % 2) * 60;
-            for ki in 0..size_steps {
-                let kernel_size = 128 + ki * 172;
-                for min_mult in [1usize, 2] {
-                    let min_size = app_size * min_mult / 2 + kernel_size;
-                    let unalloc_size = ram_size - (unalloc_start - ram_base);
-                    out.push(AllocParams {
-                        unalloc_start,
-                        unalloc_size,
-                        min_size,
-                        app_size,
-                        kernel_size,
-                    });
-                }
-            }
-        }
-    }
-    out
+    // Walk starts across misalignments: subregion-size strides plus odd
+    // offsets that force the allocator's realignment path.
+    let unalloc_start = ram_base + row * 96 + (row % 3) * 4;
+    let unalloc_size = ram_size - (unalloc_start - ram_base);
+    (0..size_steps).flat_map(move |ai| {
+        let app_size = 512 + ai * 384 + (ai % 2) * 60;
+        (0..size_steps).flat_map(move |ki| {
+            let kernel_size = 128 + ki * 172;
+            [1usize, 2].map(|min_mult| AllocParams {
+                unalloc_start,
+                unalloc_size,
+                min_size: app_size * min_mult / 2 + kernel_size,
+                app_size,
+                kernel_size,
+            })
+        })
+    })
 }
 
 /// Enumerates brk-style break updates relative to an allocated block.
@@ -228,6 +242,46 @@ mod tests {
             assert!(p.unalloc_start >= 0x2000_0000);
             assert!(p.unalloc_start + p.unalloc_size <= 0x2000_0000 + 0x1_0000);
         }
+    }
+
+    #[test]
+    fn alloc_grid_is_the_concatenation_of_its_rows() {
+        // The grid as one nested loop, before it was split into rows.
+        fn nested(ram_base: usize, ram_size: usize, density: usize) -> Vec<AllocParams> {
+            let mut out = Vec::new();
+            let size_steps = 1 + 3 * density;
+            for si in 0..1 + 4 * density {
+                let unalloc_start = ram_base + si * 96 + (si % 3) * 4;
+                for ai in 0..size_steps {
+                    let app_size = 512 + ai * 384 + (ai % 2) * 60;
+                    for ki in 0..size_steps {
+                        let kernel_size = 128 + ki * 172;
+                        for min_mult in [1usize, 2] {
+                            out.push(AllocParams {
+                                unalloc_start,
+                                unalloc_size: ram_size - (unalloc_start - ram_base),
+                                min_size: app_size * min_mult / 2 + kernel_size,
+                                app_size,
+                                kernel_size,
+                            });
+                        }
+                    }
+                }
+            }
+            out
+        }
+        let (base, size) = (0x2000_0000, 0x4_0000);
+        for d in 0..=20 {
+            let grid = alloc_param_grid(base, size, d);
+            let rows: Vec<AllocParams> = (0..alloc_param_rows(d))
+                .flat_map(|row| alloc_param_row(base, size, d, row))
+                .collect();
+            assert_eq!(grid, rows, "density {d}");
+            assert_eq!(grid, nested(base, size, d), "density {d}");
+        }
+        assert_eq!(alloc_param_rows(20), 81);
+        assert_eq!(alloc_param_rows(2), 9);
+        assert_eq!(alloc_param_grid(base, size, 20).len(), 602_802);
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod effort;
 pub mod lemmas;
 pub mod math;
 pub mod obligation;
+pub mod pool;
 pub mod simctx;
 pub mod span;
 pub mod vcache;

@@ -45,7 +45,7 @@ pub struct Obligation {
     /// Whether the obligation is `#[trusted]` (counted separately in Fig. 10).
     pub trusted: bool,
     /// The discharge procedure: our stand-in for the SMT query.
-    pub check: Box<dyn Fn() -> CheckResult + Send>,
+    pub check: Box<dyn Fn() -> CheckResult + Send + Sync>,
 }
 
 impl fmt::Debug for Obligation {
@@ -82,7 +82,7 @@ impl Registry {
         component: &'static str,
         function: impl Into<String>,
         kind: ContractKind,
-        check: impl Fn() -> CheckResult + Send + 'static,
+        check: impl Fn() -> CheckResult + Send + Sync + 'static,
     ) {
         self.add(Obligation {
             component,

@@ -26,7 +26,7 @@
 //! flag and current pid.
 //!
 //! Everything stays thread-local by design: the work-stealing pool in
-//! `tt_kernel::pool` relies on worker runs being bit-identical to serial
+//! [`crate::pool`] relies on worker runs being bit-identical to serial
 //! runs precisely because no simulator state is shared between threads.
 
 use std::cell::Cell;

@@ -4,11 +4,13 @@
 //! checking with wall-clock timing, summarized per component as in Figure 12
 //! (`Fns`, `Total`, `Max`, `Mean`, `StdDev`).
 
-use crate::obligation::{CheckResult, Registry};
+use crate::obligation::{CheckResult, Obligation, Registry};
+use crate::pool;
 use crate::span::SourceIndex;
 use crate::vcache::{verdict_key, Verdict, VerdictCache};
 use crate::{with_mode, Mode};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Verdict-key tag for whole-function verification verdicts (audit passes
@@ -16,13 +18,17 @@ use std::time::{Duration, Instant};
 pub const TAG_VERIFY: u8 = 0;
 
 /// The result of verifying one function (all its obligations).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionResult {
     /// Component the function belongs to.
     pub component: &'static str,
     /// Fully qualified function name.
     pub function: String,
-    /// Wall-clock time spent discharging the function's obligations.
+    /// Wall-clock time spent discharging the function's obligations: the
+    /// sum of their discharge times, each measured on the worker that ran
+    /// it (the cache lookup time for a cached result). With several
+    /// workers sharing cores each discharge reads longer than it would
+    /// alone, so sums across a component can exceed the run's wall time.
     pub duration: Duration,
     /// Total concrete cases explored across obligations.
     pub cases: u64,
@@ -63,7 +69,7 @@ pub struct ComponentStats {
 }
 
 /// A full verification run over a [`Registry`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerificationReport {
     /// Per-function results, in registration order.
     pub functions: Vec<FunctionResult>,
@@ -73,6 +79,16 @@ impl VerificationReport {
     /// Returns `true` if every function verified.
     pub fn all_verified(&self) -> bool {
         self.functions.iter().all(FunctionResult::verified)
+    }
+
+    /// This report with every duration zeroed: the verdicts, which must
+    /// not depend on the worker count or the order of discharge.
+    pub fn without_timings(&self) -> VerificationReport {
+        let mut out = self.clone();
+        for f in &mut out.functions {
+            f.duration = Duration::ZERO;
+        }
+        out
     }
 
     /// Returns the functions that failed verification.
@@ -188,109 +204,104 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// What discharging one obligation produced: the result of one pool unit.
+#[derive(Debug, Clone)]
+pub struct Discharge {
+    /// Concrete cases explored (0 when refuted or trusted).
+    pub cases: u64,
+    /// Contract violations raised by the code under check, then the
+    /// obligation's own counterexample, if any.
+    pub refutations: Vec<String>,
+    /// Whether the obligation was trusted (assumed).
+    pub trusted: bool,
+    /// Wall-clock time of this discharge on the thread that ran it.
+    pub duration: Duration,
+}
+
+/// Discharges one obligation on the calling thread.
+///
+/// The check runs in [`Mode::Observe`] so that contract failures inside
+/// checked code surface as refutations rather than panics — matching
+/// Flux, which reports errors instead of crashing the build. Every
+/// per-thread input the check sees (the contract mode, the violation log)
+/// is set up and drained here, so the result does not depend on which
+/// thread runs it or what ran there before.
+pub fn discharge(obligation: &Obligation) -> Discharge {
+    let start = Instant::now();
+    let result = with_mode(Mode::Observe, || (obligation.check)());
+    let mut refutations: Vec<String> = crate::take_violations()
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    let (cases, trusted) = match result {
+        CheckResult::Verified { cases } => (cases, false),
+        CheckResult::Refuted { counterexample } => {
+            refutations.push(counterexample);
+            (0, false)
+        }
+        CheckResult::Trusted => (0, true),
+    };
+    Discharge {
+        cases,
+        refutations,
+        trusted,
+        duration: start.elapsed(),
+    }
+}
+
 /// The verification driver.
-#[derive(Debug, Default)]
+///
+/// Every obligation is checked in isolation, as Flux checks each function
+/// in isolation, so the obligations a run has to discharge are
+/// independent units: the verifier runs them on the work-stealing
+/// [`pool`] and merges the results per function in registration order.
+/// The report is the same at any worker count.
+#[derive(Debug, Clone)]
 pub struct Verifier {
-    /// When `true`, stop a function's remaining obligations at the first
-    /// refutation (Flux reports all errors; we keep them all by default).
-    pub fail_fast: bool,
+    threads: usize,
+}
+
+impl Default for Verifier {
+    fn default() -> Self {
+        Self::with_threads(pool::default_threads())
+    }
 }
 
 impl Verifier {
-    /// Creates a verifier with default settings.
+    /// A verifier on [`pool::default_threads`] workers.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Discharges every obligation in `registry`, grouped per function.
-    ///
-    /// Obligations run in [`Mode::Observe`] so that contract failures inside
-    /// checked code surface as refutations rather than panics — matching
-    /// Flux, which reports errors instead of crashing the build.
-    pub fn verify(&self, registry: &Registry) -> VerificationReport {
-        self.verify_with_cache(registry, &mut VerificationCache::disabled())
+    /// A verifier on `threads` workers (1 discharges on the calling thread).
+    pub fn with_threads(threads: usize) -> Self {
+        Self {
+            threads: threads.max(1),
+        }
     }
 
-    /// Incremental verification: functions whose obligation signature is
-    /// unchanged since the last verified run are served from `cache`
-    /// instead of re-checked.
-    ///
-    /// This is the workflow §6.3 highlights: "Flux is a modular verifier
-    /// that checks each function in isolation … allow\[ing\] for incremental
-    /// and interactive verification during code development". Refuted
-    /// functions are never cached, so fixes are always re-checked.
-    pub fn verify_with_cache(
-        &self,
-        registry: &Registry,
-        cache: &mut VerificationCache,
-    ) -> VerificationReport {
-        let mut order: Vec<(&'static str, String)> = Vec::new();
-        for o in registry.obligations() {
-            let key = (o.component, o.function.clone());
-            if !order.contains(&key) {
-                order.push(key);
-            }
-        }
+    /// The worker count this verifier discharges on.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
 
-        let mut report = VerificationReport::default();
-        for (component, function) in order {
-            let signature = cache.signature(registry, component, &function);
-            if let Some(hit) = cache.lookup(component, &function, signature) {
-                let mut cached = hit.clone();
-                cached.cached = true;
-                report.functions.push(cached);
-                continue;
-            }
-            let mut cases = 0u64;
-            let mut refutations = Vec::new();
-            let mut trusted = false;
-            let start = Instant::now();
-            for o in registry
-                .obligations()
-                .iter()
-                .filter(|o| o.component == component && o.function == function)
-            {
-                let result = with_mode(Mode::Observe, || (o.check)());
-                // Contract failures raised by the code under check while in
-                // Observe mode become refutations too.
-                let in_code_violations = crate::take_violations();
-                for v in in_code_violations {
-                    refutations.push(v.to_string());
-                }
-                match result {
-                    CheckResult::Verified { cases: c } => cases += c,
-                    CheckResult::Refuted { counterexample } => {
-                        refutations.push(counterexample);
-                        if self.fail_fast {
-                            break;
-                        }
-                    }
-                    CheckResult::Trusted => trusted = true,
-                }
-            }
-            let result = FunctionResult {
-                component,
-                function,
-                duration: start.elapsed(),
-                cases,
-                refutations,
-                trusted,
-                cached: false,
-            };
-            cache.store(signature, &result);
-            report.functions.push(result);
-        }
-        report
+    /// Discharges every obligation in `registry`, grouped per function.
+    pub fn verify(&self, registry: &Registry) -> VerificationReport {
+        self.run(registry, None)
     }
 
     /// Persistent incremental verification: functions whose source content
     /// hash *and* obligation-domain hash both match a verdict in `cache`
     /// are skipped; everything else is discharged and (if verified) stored.
     ///
+    /// This is the workflow §6.3 highlights: "Flux is a modular verifier
+    /// that checks each function in isolation … allow\[ing\] for incremental
+    /// and interactive verification during code development".
+    ///
     /// Staleness gates, in the cache key itself:
     /// * a changed function body → different [`SourceIndex::anchor_hash`];
     /// * a changed spec (obligation added/removed/re-kinded/re-trusted) →
-    ///   different [`obligation_signature`];
+    ///   a different obligation-domain signature;
     /// * a toolchain/config change → the caller loads the cache under a
     ///   different config hash, which discards every verdict.
     ///
@@ -304,85 +315,155 @@ impl Verifier {
         cache: &mut VerdictCache,
         index: &SourceIndex,
     ) -> VerificationReport {
-        let mut order: Vec<(&'static str, String)> = Vec::new();
-        for o in registry.obligations() {
-            let key = (o.component, o.function.clone());
-            if !order.contains(&key) {
-                order.push(key);
-            }
-        }
+        self.run(registry, Some((cache, index)))
+    }
 
-        let mut report = VerificationReport::default();
-        for (component, function) in order {
-            let domain_hash = obligation_signature(registry, component, &function);
-            let fn_hash = index.anchor_hash(&function);
-            let key_hash = verdict_key(TAG_VERIFY, component, &function);
-            let lookup_start = Instant::now();
-            if let Some(v) = cache.lookup(key_hash, fn_hash, domain_hash) {
-                report.functions.push(FunctionResult {
-                    component,
-                    function,
-                    // The honest warm cost: the lookup itself, not the
-                    // original discharge — so Figure 12 totals show the
-                    // incremental speedup directly.
-                    duration: lookup_start.elapsed(),
-                    cases: v.cases,
-                    refutations: Vec::new(),
-                    trusted: v.trusted,
-                    cached: true,
-                });
-                continue;
+    fn run(
+        &self,
+        registry: &Registry,
+        cache: Option<(&mut VerdictCache, &SourceIndex)>,
+    ) -> VerificationReport {
+        // Verifier runs in one process take turns, so no run's
+        // per-obligation times include another run's discharges
+        // competing for the same cores.
+        static TURN: Mutex<()> = Mutex::new(());
+        let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+        let obligations = registry.obligations();
+        verify_by(registry, cache, |units| {
+            pool::run_indexed(units, self.threads, |_, &i| discharge(&obligations[i]))
+        })
+    }
+}
+
+/// The verifier with a caller-chosen discharge step: plans the functions
+/// `cache` misses (every function when `cache` is `None`), hands their
+/// obligation indices to `run` in registration order, and merges the
+/// [`Discharge`]s `run` returns — one per index, in the same order — per
+/// function in registration order:
+///
+/// * cases are summed, refutations keep obligation order;
+/// * `duration` is the sum of the function's discharge times, so a
+///   Figure 12 row stays "effort per function" at any worker count;
+/// * a function is trusted if any of its obligations is.
+///
+/// [`Verifier`] passes the work-stealing pool as `run`; any other order
+/// of discharge must produce the same report.
+pub fn verify_by(
+    registry: &Registry,
+    mut cache: Option<(&mut VerdictCache, &SourceIndex)>,
+    run: impl FnOnce(&[usize]) -> Vec<Discharge>,
+) -> VerificationReport {
+    let obligations = registry.obligations();
+    let functions = group_by_function(registry);
+
+    // Plan: serve hits from the cache, queue every obligation of a miss.
+    let mut results: Vec<Option<FunctionResult>> = Vec::with_capacity(functions.len());
+    let mut keys = Vec::with_capacity(functions.len());
+    let mut units = Vec::new();
+    for group in &functions {
+        let first = &obligations[group[0]];
+        let (component, function) = (first.component, first.function.as_str());
+        let key = cache.as_ref().map(|(_, index)| {
+            let domain_hash = obligation_signature(group.iter().map(|&i| &obligations[i]));
+            let fn_hash = index.anchor_hash(function);
+            (
+                verdict_key(TAG_VERIFY, component, function),
+                fn_hash,
+                domain_hash,
+            )
+        });
+        let lookup_start = Instant::now();
+        let hit = match (&mut cache, key) {
+            (Some((cache, _)), Some((key_hash, fn_hash, domain_hash))) => {
+                cache.lookup(key_hash, fn_hash, domain_hash)
             }
-            let mut cases = 0u64;
-            let mut refutations = Vec::new();
-            let mut trusted = false;
-            let mut kind_tag = 0u8;
-            let start = Instant::now();
-            for o in registry
-                .obligations()
-                .iter()
-                .filter(|o| o.component == component && o.function == function)
-            {
-                kind_tag = o.kind as u8;
-                let result = with_mode(Mode::Observe, || (o.check)());
-                for v in crate::take_violations() {
-                    refutations.push(v.to_string());
-                }
-                match result {
-                    CheckResult::Verified { cases: c } => cases += c,
-                    CheckResult::Refuted { counterexample } => {
-                        refutations.push(counterexample);
-                        if self.fail_fast {
-                            break;
-                        }
-                    }
-                    CheckResult::Trusted => trusted = true,
-                }
-            }
-            let duration = start.elapsed();
-            if refutations.is_empty() {
+            _ => None,
+        };
+        results.push(hit.map(|v| FunctionResult {
+            component,
+            function: function.to_string(),
+            // The honest warm cost: the lookup itself, not the original
+            // discharge — so Figure 12 totals show the incremental
+            // speedup directly.
+            duration: lookup_start.elapsed(),
+            cases: v.cases,
+            refutations: Vec::new(),
+            trusted: v.trusted,
+            cached: true,
+        }));
+        if hit.is_none() {
+            units.extend_from_slice(group);
+        }
+        keys.push(key);
+    }
+    units.sort_unstable();
+
+    let discharged = run(&units);
+    assert_eq!(discharged.len(), units.len(), "one discharge per unit");
+    let mut by_obligation: Vec<Option<Discharge>> = vec![None; obligations.len()];
+    for (&i, d) in units.iter().zip(discharged) {
+        by_obligation[i] = Some(d);
+    }
+
+    // Merge per function, in registration order.
+    let mut report = VerificationReport::default();
+    for ((group, result), key) in functions.iter().zip(results).zip(keys) {
+        if let Some(hit) = result {
+            report.functions.push(hit);
+            continue;
+        }
+        let first = &obligations[group[0]];
+        let mut merged = FunctionResult {
+            component: first.component,
+            function: first.function.clone(),
+            duration: Duration::ZERO,
+            cases: 0,
+            refutations: Vec::new(),
+            trusted: false,
+            cached: false,
+        };
+        for &i in group {
+            let d = by_obligation[i]
+                .take()
+                .expect("planned obligation discharged");
+            merged.cases += d.cases;
+            merged.refutations.extend(d.refutations);
+            merged.trusted |= d.trusted;
+            merged.duration += d.duration;
+        }
+        if let (Some((cache, _)), Some((key_hash, fn_hash, domain_hash))) = (&mut cache, key) {
+            if merged.verified() {
                 cache.store(Verdict {
                     key_hash,
                     fn_hash,
                     domain_hash,
-                    cases,
-                    duration_ns: duration.as_nanos().min(u64::MAX as u128) as u64,
-                    trusted,
-                    kind: kind_tag,
+                    cases: merged.cases,
+                    duration_ns: merged.duration.as_nanos().min(u64::MAX as u128) as u64,
+                    trusted: merged.trusted,
+                    kind: obligations[*group.last().expect("non-empty group")].kind as u8,
                 });
             }
-            report.functions.push(FunctionResult {
-                component,
-                function,
-                duration,
-                cases,
-                refutations,
-                trusted,
-                cached: false,
-            });
         }
-        report
+        report.functions.push(merged);
     }
+    report
+}
+
+/// The registry's obligation indices grouped per `(component, function)`,
+/// groups in first-registration order, indices ascending.
+fn group_by_function(registry: &Registry) -> Vec<Vec<usize>> {
+    let mut slot: HashMap<(&str, &str), usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, o) in registry.obligations().iter().enumerate() {
+        let g = *slot
+            .entry((o.component, o.function.as_str()))
+            .or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+        groups[g].push(i);
+    }
+    groups
 }
 
 /// The obligation-domain signature of one function: a fingerprint of its
@@ -391,17 +472,13 @@ impl Verifier {
 /// the signature, the analogue of Flux re-checking a function whose
 /// refinement annotations changed. This is the `domain_hash` half of every
 /// persistent verdict key.
-pub fn obligation_signature(registry: &Registry, component: &str, function: &str) -> u64 {
+fn obligation_signature<'a>(obligations: impl Iterator<Item = &'a Obligation>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: u64| {
         hash ^= v;
         hash = hash.wrapping_mul(0x1000_0000_01b3);
     };
-    for o in registry
-        .obligations()
-        .iter()
-        .filter(|o| o.component == component && o.function == function)
-    {
+    for o in obligations {
         mix(o.kind as u64 + 1);
         mix(o.trusted as u64 + 11);
         for b in o.function.bytes() {
@@ -409,67 +486,6 @@ pub fn obligation_signature(registry: &Registry, component: &str, function: &str
         }
     }
     hash
-}
-
-/// A cache of per-function verification results for incremental runs.
-#[derive(Debug, Default)]
-pub struct VerificationCache {
-    enabled: bool,
-    entries: BTreeMap<(String, String), (u64, FunctionResult)>,
-}
-
-impl VerificationCache {
-    /// Creates an enabled cache.
-    pub fn new() -> Self {
-        Self {
-            enabled: true,
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// Creates a disabled cache (every function re-checked).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Number of verified functions currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Computes the obligation signature of a function: the fingerprint of
-    /// its registered contract set. A changed contract (added, removed, or
-    /// different kind/trust) invalidates the cache entry — the analogue of
-    /// Flux re-checking a function whose spec changed.
-    fn signature(&self, registry: &Registry, component: &str, function: &str) -> u64 {
-        obligation_signature(registry, component, function)
-    }
-
-    fn lookup(&self, component: &str, function: &str, signature: u64) -> Option<&FunctionResult> {
-        if !self.enabled {
-            return None;
-        }
-        let (sig, result) = self
-            .entries
-            .get(&(component.to_string(), function.to_string()))?;
-        (*sig == signature).then_some(result)
-    }
-
-    fn store(&mut self, signature: u64, result: &FunctionResult) {
-        // Verified functions are cacheable; trusted ones too (there is
-        // nothing to re-discharge while their signature is unchanged).
-        if self.enabled && result.verified() {
-            self.entries.insert(
-                (result.component.to_string(), result.function.clone()),
-                (signature, result.clone()),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -604,14 +620,15 @@ mod tests {
             cases: 1,
         });
         let verifier = Verifier::new();
-        let mut cache = VerificationCache::new();
-        let cold = verifier.verify_with_cache(&r, &mut cache);
+        let mut cache = VerdictCache::new(1);
+        let idx = index_of("pub fn unrelated() {}\n");
+        let cold = verifier.verify_incremental(&r, &mut cache, &idx);
         assert_eq!(cold.component_stats("k").cached_fns, 0);
         // Add a third function: the warm run re-checks only it.
         r.add_fn("k", "h", ContractKind::Post, || CheckResult::Verified {
             cases: 1,
         });
-        let warm = verifier.verify_with_cache(&r, &mut cache);
+        let warm = verifier.verify_incremental(&r, &mut cache, &idx);
         let stats = warm.component_stats("k");
         assert_eq!(stats.fns, 3);
         assert_eq!(stats.cached_fns, 2);
@@ -640,61 +657,6 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_secs(319)), "5m19s");
         assert_eq!(fmt_duration(Duration::from_secs(36)), "36.0s");
         assert_eq!(fmt_duration(Duration::from_millis(50)), "0.050s");
-    }
-
-    #[test]
-    fn incremental_cache_skips_verified_functions() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let runs = Arc::new(AtomicUsize::new(0));
-        let runs2 = Arc::clone(&runs);
-        let mut r = Registry::new();
-        r.add_fn("c", "f", ContractKind::Post, move || {
-            runs2.fetch_add(1, Ordering::SeqCst);
-            CheckResult::Verified { cases: 1 }
-        });
-        let verifier = Verifier::new();
-        let mut cache = VerificationCache::new();
-        let first = verifier.verify_with_cache(&r, &mut cache);
-        assert!(!first.functions[0].cached);
-        assert_eq!(cache.len(), 1);
-        let second = verifier.verify_with_cache(&r, &mut cache);
-        assert!(second.functions[0].cached);
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "checked only once");
-        assert!(second.all_verified());
-    }
-
-    #[test]
-    fn refuted_functions_are_never_cached() {
-        let mut r = Registry::new();
-        r.add_fn("c", "bad", ContractKind::Post, || CheckResult::Refuted {
-            counterexample: "x".into(),
-        });
-        let verifier = Verifier::new();
-        let mut cache = VerificationCache::new();
-        verifier.verify_with_cache(&r, &mut cache);
-        assert!(cache.is_empty());
-        let again = verifier.verify_with_cache(&r, &mut cache);
-        assert!(!again.functions[0].cached);
-    }
-
-    #[test]
-    fn changed_contract_signature_invalidates_cache() {
-        let mut r = Registry::new();
-        r.add_fn("c", "f", ContractKind::Post, || CheckResult::Verified {
-            cases: 1,
-        });
-        let verifier = Verifier::new();
-        let mut cache = VerificationCache::new();
-        verifier.verify_with_cache(&r, &mut cache);
-        // Same function, an ADDITIONAL precondition registered: the spec
-        // changed, so the cached result must not be reused.
-        r.add_fn("c", "f", ContractKind::Pre, || CheckResult::Verified {
-            cases: 1,
-        });
-        let second = verifier.verify_with_cache(&r, &mut cache);
-        assert!(!second.functions[0].cached);
-        assert_eq!(second.functions[0].cases, 2);
     }
 
     fn index_of(src: &str) -> SourceIndex {
@@ -814,17 +776,114 @@ mod tests {
         assert_eq!(warm.functions[0].cases, 9);
     }
 
-    #[test]
-    fn disabled_cache_never_hits() {
+    /// Interleaved functions with violations, refutations and trust.
+    fn mixed_registry() -> Registry {
         let mut r = Registry::new();
-        r.add_fn("c", "f", ContractKind::Post, || CheckResult::Verified {
-            cases: 1,
+        for round in 0..3u64 {
+            for f in ["f", "g", "h"] {
+                r.add_fn("c", f, ContractKind::Post, move || {
+                    if f == "g" && round == 1 {
+                        crate::invariant!("g-inner", round == 0);
+                        CheckResult::Refuted {
+                            counterexample: format!("g round {round}"),
+                        }
+                    } else {
+                        CheckResult::Verified { cases: round + 1 }
+                    }
+                });
+            }
+        }
+        r.add_trusted("c", "h", ContractKind::Lemma);
+        r.add_trusted("d", "axiom", ContractKind::Lemma);
+        r
+    }
+
+    #[test]
+    fn report_is_the_same_at_any_worker_count_and_order() {
+        let r = mixed_registry();
+        let serial = Verifier::with_threads(1).verify(&r).without_timings();
+        let row = |f: &FunctionResult| (f.function.clone(), f.cases, f.trusted);
+        assert_eq!(
+            serial.functions.iter().map(row).collect::<Vec<_>>(),
+            vec![
+                ("f".into(), 6, false),
+                ("g".into(), 4, false),
+                ("h".into(), 6, true),
+                ("axiom".into(), 0, true),
+            ]
+        );
+        // The in-code violation comes before its obligation's own
+        // counterexample.
+        assert_eq!(
+            serial.functions[1].refutations,
+            vec![
+                "contract violation [Invariant] at g-inner: round == 0".to_string(),
+                "g round 1".to_string(),
+            ]
+        );
+        for threads in [2, 8] {
+            let parallel = Verifier::with_threads(threads).verify(&r);
+            assert_eq!(parallel.without_timings(), serial, "threads = {threads}");
+        }
+        let reversed = verify_by(&r, None, |units| {
+            let mut out: Vec<Discharge> = units
+                .iter()
+                .rev()
+                .map(|&i| discharge(&r.obligations()[i]))
+                .collect();
+            out.reverse();
+            out
         });
-        let verifier = Verifier::new();
-        let mut cache = VerificationCache::disabled();
-        verifier.verify_with_cache(&r, &mut cache);
-        let second = verifier.verify_with_cache(&r, &mut cache);
-        assert!(!second.functions[0].cached);
-        assert!(cache.is_empty());
+        assert_eq!(reversed.without_timings(), serial);
+    }
+
+    #[test]
+    fn merge_sums_discharge_times_per_function() {
+        let r = mixed_registry();
+        let report = verify_by(&r, None, |units| {
+            units
+                .iter()
+                .map(|&i| Discharge {
+                    cases: 1,
+                    refutations: Vec::new(),
+                    trusted: false,
+                    duration: Duration::from_millis(i as u64 + 1),
+                })
+                .collect()
+        });
+        // f is registered at indices 0, 3 and 6: 1 + 4 + 7 ms.
+        assert_eq!(report.functions[0].duration, Duration::from_millis(12));
+        assert_eq!(report.functions[0].cases, 3);
+        // h has a fourth, trusted obligation at index 9.
+        assert_eq!(
+            report.functions[2].duration,
+            Duration::from_millis(3 + 6 + 9 + 10)
+        );
+    }
+
+    #[test]
+    fn only_cache_misses_are_planned() {
+        let r = mixed_registry();
+        let idx = index_of("pub fn unrelated() {}\n");
+        let mut cache = VerdictCache::new(1);
+        let verifier = Verifier::with_threads(2);
+        verifier.verify_incremental(&r, &mut cache, &idx);
+        let mut planned = Vec::new();
+        let warm = verify_by(&r, Some((&mut cache, &idx)), |units| {
+            planned = units.to_vec();
+            units
+                .iter()
+                .map(|&i| discharge(&r.obligations()[i]))
+                .collect()
+        });
+        // Only g was refuted, so only g's obligations are re-discharged.
+        assert_eq!(planned, vec![1, 4, 7]);
+        assert_eq!(
+            warm.functions.iter().filter(|f| f.cached).count(),
+            3,
+            "f, h and axiom are served from the cache"
+        );
+        let cold = Verifier::new().verify(&r).without_timings();
+        assert_eq!(warm.without_timings().functions[1], cold.functions[1]);
     }
 }

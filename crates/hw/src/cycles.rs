@@ -127,16 +127,15 @@ thread_local! {
     // The record buffer cannot join the scalar-only `SimContext`; it is
     // wrapped in `ManuallyDrop` so the thread-local carries no `Drop`
     // glue and keeps the const-init fast access path (see
-    // `tt_hw::trace::RING` for the full rationale). Threads release the
-    // storage explicitly via [`release_thread_buffers`]; the pool
-    // workers in `tt_kernel::pool` do so before exiting.
+    // `tt_hw::trace::RING` for the full rationale). [`set_recording`]
+    // arms the trace module's thread-exit guard, which frees it.
     static METHOD_RECORDS: std::cell::RefCell<std::mem::ManuallyDrop<Vec<(&'static str, u64)>>> =
         const { std::cell::RefCell::new(std::mem::ManuallyDrop::new(Vec::new())) };
 }
 
-/// Frees this thread's method-record buffer. Long-lived threads that
-/// enabled recording should call this before exiting; the work-stealing
-/// pool workers do. Pending records are discarded.
+/// Frees this thread's method-record buffer. Threads that enabled
+/// recording do this automatically at exit; call it to free the buffer
+/// earlier. Pending records are discarded.
 pub fn release_thread_buffers() {
     METHOD_RECORDS.with(|m| {
         // Assigning a fresh `Vec` drops the old buffer normally —
@@ -154,6 +153,7 @@ pub fn release_thread_buffers() {
 /// reallocates.
 pub fn set_recording(enabled: bool) -> bool {
     if enabled {
+        crate::trace::arm_thread_exit_release();
         METHOD_RECORDS.with(|m| {
             let mut records = m.borrow_mut();
             let len = records.len();

@@ -349,11 +349,10 @@ thread_local! {
     // scalar-only `SimContext`), wrapped in `ManuallyDrop` so the
     // thread-local carries no `Drop` glue: a payload with a destructor
     // forces every access through the registration state machine, which
-    // measurably slows the per-event path. The cost of the trade is that
-    // a thread which traced and never calls [`release_thread_buffers`]
-    // leaks its ring storage at thread exit — bounded by one ring per
-    // thread, freed explicitly by the `tt_kernel::pool` workers, and
-    // reclaimed at process exit everywhere else.
+    // measurably slows the per-event path. The storage is instead freed
+    // at thread exit by the separate [`ThreadExitRelease`] guard, which
+    // [`enable`] arms once per thread, so [`record`] stays a single
+    // const-init TLS access.
     static RING: std::cell::RefCell<std::mem::ManuallyDrop<Ring>> = const {
         std::cell::RefCell::new(std::mem::ManuallyDrop::new(Ring {
             enabled: false,
@@ -367,11 +366,43 @@ thread_local! {
     };
 }
 
+/// Frees this thread's buffers when the thread exits: the trace ring and
+/// the §6.2 method records. It is a zero-sized value with `Drop` glue in
+/// its own thread-local, so only this cell pays the destructor
+/// registration, on the first [`arm_thread_exit_release`] of a thread;
+/// the buffer cells themselves stay const-init and glue-free. Both
+/// buffers are glue-free TLS, so they are still accessible while this
+/// destructor runs.
+struct ThreadExitRelease;
+
+impl Drop for ThreadExitRelease {
+    fn drop(&mut self) {
+        #[cfg(test)]
+        if let Ok(mut freed) = tests::EXIT_RELEASES.lock() {
+            freed.push(RING.with(|r| r.borrow().capacity));
+        }
+        release_thread_buffers();
+        crate::cycles::release_thread_buffers();
+    }
+}
+
+thread_local! {
+    static THREAD_EXIT_RELEASE: ThreadExitRelease = const { ThreadExitRelease };
+}
+
+/// Registers this thread's buffer release for thread exit. Called where a
+/// buffer is first sized ([`enable`], `cycles::set_recording(true)`),
+/// never per event. Idempotent; on a thread that is already exiting it
+/// does nothing (the buffers are then reclaimed with the process).
+pub(crate) fn arm_thread_exit_release() {
+    let _ = THREAD_EXIT_RELEASE.try_with(|_| ());
+}
+
 /// Frees this thread's ring storage (both the live buffer and the
-/// [`recycle`] spare). Long-lived threads that traced should call this
-/// before exiting; the work-stealing pool workers do. Tracing state is
-/// reset to disabled-with-zero-capacity; a later [`enable`] starts from
-/// a fresh allocation.
+/// [`recycle`] spare). Threads that traced do this automatically at
+/// exit; call it to free the ring earlier. Tracing state is reset to
+/// disabled-with-zero-capacity; a later [`enable`] starts from a fresh
+/// allocation.
 pub fn release_thread_buffers() {
     RING.with(|r| {
         // Assigning a fresh empty ring drops the old buffers normally —
@@ -394,6 +425,7 @@ pub fn release_thread_buffers() {
 /// earlier enable/disable cycle on this thread is reused, so re-enabling
 /// with the same (or smaller) capacity allocates nothing.
 pub fn enable(capacity: usize) {
+    arm_thread_exit_release();
     RING.with(|r| {
         let mut ring = r.borrow_mut();
         ring.reset(capacity);
@@ -797,6 +829,26 @@ mod tests {
         assert!(!is_enabled());
         record(ev(2));
         assert_eq!(take(), Trace::default());
+    }
+
+    /// The ring capacity each [`ThreadExitRelease`] guard freed, over
+    /// every thread of this test binary.
+    pub(super) static EXIT_RELEASES: std::sync::Mutex<Vec<usize>> =
+        std::sync::Mutex::new(Vec::new());
+
+    #[test]
+    fn a_thread_that_traced_frees_its_ring_at_exit() {
+        // A capacity no other test in this crate uses.
+        const CAPACITY: usize = 65_537;
+        std::thread::spawn(|| {
+            enable(CAPACITY);
+            record(ev(1));
+            crate::cycles::set_recording(true);
+            crate::cycles::record_method("m", 3);
+        })
+        .join()
+        .unwrap();
+        assert!(EXIT_RELEASES.lock().unwrap().contains(&CAPACITY));
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use crate::capsules::driver;
 use crate::kernel::{App, AppFactory, FaultPolicy, Kernel, Step};
 use crate::loader::flash_app;
-use crate::pool;
 use crate::process::{Flavor, ProcessState};
 use crate::shrink;
 use crate::snapshot::MachineSnapshot;
@@ -26,6 +25,7 @@ use crate::trace::{
     event_pid, normalize, normalize_for_pid, observable_event, render_event, Trace, TraceEvent,
     TraceScope,
 };
+use tt_contracts::pool;
 use tt_contracts::{take_violations, with_mode, Mode};
 use tt_hw::injection::{self, InjectionPlan};
 use tt_hw::platform::ChipProfile;

@@ -11,6 +11,7 @@ use crate::kernel::{App, Kernel};
 use crate::loader::flash_app;
 use crate::process::{Flavor, ProcessState};
 use crate::trace::{self, diff_traces, render_divergence, Trace, TraceDivergence, TraceScope};
+use tt_contracts::pool;
 use tt_hw::platform::{ChipProfile, NRF52840DK};
 use tt_legacy::BugVariant;
 
@@ -129,7 +130,7 @@ pub fn run_release_suite() -> Vec<DiffResult> {
 /// Worker count for the parallel suite runners: `TT_BENCH_THREADS` if set
 /// to a positive integer, otherwise the machine's available parallelism.
 pub fn suite_threads() -> usize {
-    crate::pool::default_threads()
+    pool::default_threads()
 }
 
 fn diff_one(test: &ReleaseTest, chip: &ChipProfile) -> DiffResult {
@@ -148,14 +149,14 @@ pub fn run_release_suite_on(chip: &ChipProfile) -> Vec<DiffResult> {
 }
 
 /// Runs the release suite on a work-stealing pool of `threads` workers
-/// (1 = the serial path); see [`crate::pool::run_indexed`]. Every
+/// (1 = the serial path); see [`pool::run_indexed`]. Every
 /// cycle/trace/cache sink is thread-local by design, so each worker's
 /// runs are bit-identical to a serial run of the same tests, and results
 /// are reassembled in test order — the parallel runner's report is
 /// byte-identical to the serial one.
 pub fn run_release_suite_on_with_threads(chip: &ChipProfile, threads: usize) -> Vec<DiffResult> {
     let tests = release_tests();
-    crate::pool::run_indexed(&tests, threads, |_, test| diff_one(test, chip))
+    pool::run_indexed(&tests, threads, |_, test| diff_one(test, chip))
 }
 
 /// Runs the release suite on every supported chip profile over the
@@ -179,7 +180,7 @@ pub fn run_release_suite_all_chips_with_threads(
         .collect();
     let tests = &tests;
     let mut results =
-        crate::pool::run_indexed(&units, threads, |_, &(c, t)| diff_one(&tests[t], &chips[c]));
+        pool::run_indexed(&units, threads, |_, &(c, t)| diff_one(&tests[t], &chips[c]));
     let mut out = Vec::with_capacity(chips.len());
     for chip in chips.iter().rev() {
         let rest = results.split_off(results.len() - tests.len());

@@ -18,7 +18,6 @@ pub mod kernel;
 pub mod loader;
 pub mod machine;
 pub mod obligations;
-pub mod pool;
 pub mod process;
 pub mod recovery;
 pub mod shrink;

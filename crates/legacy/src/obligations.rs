@@ -5,14 +5,18 @@
 //! took over five minutes, with more than 90% of the time spent checking
 //! `allocate_app_mem_region` (§6.3). The cause is structural: the
 //! entangled spec quantifies over the whole allocation parameter space at
-//! once. This module reproduces that shape — the allocation obligation
-//! walks a dense parameter grid end to end through the hardware model,
-//! while every other function carries only cheap builtin obligations.
+//! once. This module reproduces that shape — the allocation spec walks a
+//! dense parameter grid end to end through the hardware model, while
+//! every other function carries only cheap builtin obligations. The walk
+//! is registered as one obligation per `unalloc_start` row of the grid,
+//! all under the one function name, so the verifier can discharge the
+//! rows on separate workers while Figs. 10 and 12 still count one
+//! function whose time is the sum of its rows.
 
 use crate::cortexm::{CortexMConfig, LegacyCortexM};
 use crate::mpu_trait::{BugVariant, LegacyMpu};
 use crate::process::{check_disagreement, recompute_breaks};
-use tt_contracts::domain::{alloc_param_grid, brk_param_grid};
+use tt_contracts::domain::{alloc_param_grid, alloc_param_row, alloc_param_rows, brk_param_grid};
 use tt_contracts::obligation::{CheckResult, Registry};
 use tt_contracts::ContractKind;
 use tt_hw::mem::{AccessType, Privilege, ProtectionUnit};
@@ -98,23 +102,26 @@ fn check_alloc_point(
 pub fn register_obligations(registry: &mut Registry, variant: BugVariant, density: usize) {
     let d = density.max(1);
 
-    // The monster obligation: the entangled allocate_app_mem_region spec.
-    registry.add_fn(
-        COMPONENT,
-        "CortexM::allocate_app_mem_region",
-        ContractKind::Post,
-        move || {
-            let mpu = LegacyCortexM::with_fresh_hardware(variant);
-            let mut cases = 0u64;
-            for p in alloc_param_grid(RAM_BASE, RAM_SIZE, d) {
-                match check_alloc_point(&mpu, &p) {
-                    Ok(c) => cases += c,
-                    Err(counterexample) => return CheckResult::Refuted { counterexample },
+    // The monster spec: the entangled allocate_app_mem_region
+    // postcondition, one obligation per row of the parameter grid.
+    for row in 0..alloc_param_rows(d) {
+        registry.add_fn(
+            COMPONENT,
+            "CortexM::allocate_app_mem_region",
+            ContractKind::Post,
+            move || {
+                let mpu = LegacyCortexM::with_fresh_hardware(variant);
+                let mut cases = 0u64;
+                for p in alloc_param_row(RAM_BASE, RAM_SIZE, d, row) {
+                    match check_alloc_point(&mpu, &p) {
+                        Ok(c) => cases += c,
+                        Err(counterexample) => return CheckResult::Refuted { counterexample },
+                    }
                 }
-            }
-            CheckResult::Verified { cases }
-        },
-    );
+                CheckResult::Verified { cases }
+            },
+        );
+    }
 
     // update_app_mem_region: precondition (no underflow) and postcondition
     // (never exposes grant memory) over the brk domain.
@@ -312,6 +319,33 @@ mod tests {
         assert!(
             refuted.contains(&"CortexM::update_app_mem_region"),
             "got {refuted:?}"
+        );
+    }
+
+    #[test]
+    fn buggy_alloc_counterexample_is_the_first_refuting_grid_point() {
+        // The first refuting point of the whole grid lies in row 0, so the
+        // per-row split reports it first, as the one-obligation spec did.
+        let mut r = Registry::new();
+        register_obligations(&mut r, BugVariant::Buggy, 2);
+        assert_eq!(
+            r.obligations()
+                .iter()
+                .filter(|o| o.function == "CortexM::allocate_app_mem_region")
+                .count(),
+            alloc_param_rows(2)
+        );
+        let report = Verifier::new().verify(&r);
+        let alloc = report
+            .functions
+            .iter()
+            .find(|f| f.function == "CortexM::allocate_app_mem_region")
+            .unwrap();
+        assert_eq!(
+            alloc.refutations[0],
+            "postcondition: subregs_enabled_end 0x20000280 > kernel_mem_break 0x20000228 for \
+             AllocParams { unalloc_start: 536870912, unalloc_size: 262144, min_size: 728, \
+             app_size: 512, kernel_size: 472 }"
         );
     }
 

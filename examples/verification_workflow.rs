@@ -11,7 +11,9 @@
 
 use std::time::Instant;
 use ticktock_repro::contracts::obligation::Registry;
-use ticktock_repro::contracts::verifier::{fmt_duration, VerificationCache, Verifier};
+use ticktock_repro::contracts::span::SourceIndex;
+use ticktock_repro::contracts::vcache::VerdictCache;
+use ticktock_repro::contracts::verifier::{fmt_duration, Verifier};
 use ticktock_repro::contracts::ContractKind;
 use ticktock_repro::legacy::BugVariant;
 
@@ -24,12 +26,16 @@ fn build(granular_density: usize, interrupt_depth: usize) -> Registry {
 
 fn main() {
     let verifier = Verifier::new();
-    let mut cache = VerificationCache::new();
+    // An in-memory verdict cache (`verify_all` persists the same cache in
+    // `ci/verify_cache.bin`). The source index is empty, so every verdict
+    // is keyed on the contract set alone.
+    let mut cache = VerdictCache::new(0);
+    let sources = SourceIndex::default();
 
     // 1. Cold run: everything checked.
     let registry = build(2, 4);
     let t = Instant::now();
-    let cold = verifier.verify_with_cache(&registry, &mut cache);
+    let cold = verifier.verify_incremental(&registry, &mut cache, &sources);
     println!(
         "cold verification: {} functions in {} (all verified: {})",
         cold.functions.len(),
@@ -40,7 +46,7 @@ fn main() {
     // 2. Warm run: nothing changed, everything served from the cache —
     //    "incremental and interactive verification during development".
     let t = Instant::now();
-    let warm = verifier.verify_with_cache(&registry, &mut cache);
+    let warm = verifier.verify_incremental(&registry, &mut cache, &sources);
     let cached = warm.functions.iter().filter(|f| f.cached).count();
     println!(
         "warm verification: {cached}/{} functions cached, {}",
@@ -56,7 +62,7 @@ fn main() {
         ContractKind::Pre,
         || ticktock_repro::contracts::obligation::CheckResult::Verified { cases: 1 },
     );
-    let third = verifier.verify_with_cache(&edited, &mut cache);
+    let third = verifier.verify_incremental(&edited, &mut cache, &sources);
     let rechecked: Vec<&str> = third
         .functions
         .iter()
