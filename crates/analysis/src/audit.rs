@@ -156,6 +156,7 @@ fn run_inner(
 ) -> AuditReport {
     let start = Instant::now();
     let files = load_workspace(root);
+    let scan = start.elapsed();
 
     let (mut findings, cache_stats) = match cache {
         None => (run_cacheable_passes(&files, config, passes), None),
@@ -254,6 +255,7 @@ fn run_inner(
                 warm: outcome.is_warm(),
                 hit_rate: vc.hit_rate(),
                 wall_ms: wall.as_secs_f64() * 1000.0,
+                scan_ms: scan.as_secs_f64() * 1000.0,
                 cold_wall_ms: vc.cold_wall_ns() as f64 / 1e6,
                 skipped_tcb: skipped[0],
                 skipped_coverage: skipped[1],

@@ -154,11 +154,12 @@ fn main() -> ExitCode {
             eprintln!("warning: audit cache was corrupt ({err}); ran cold, never partial reuse");
         }
         println!(
-            "cache: {} run, hit rate {:.1}%, wall {:.1} ms (cold {:.1} ms), \
+            "cache: {} run, hit rate {:.1}%, wall {:.1} ms (scan {:.1} ms, cold {:.1} ms), \
              skipped tcb {}, coverage {}, crosscheck {}",
             if c.warm { "warm" } else { "cold" },
             c.hit_rate * 100.0,
             c.wall_ms,
+            c.scan_ms,
             c.cold_wall_ms,
             c.skipped_tcb,
             c.skipped_coverage,

@@ -104,6 +104,10 @@ pub fn extract_sites(file: &ScannedFile) -> Vec<Site> {
         return sites;
     }
     for (idx, code) in file.code.iter().enumerate() {
+        // Every marker holds a `!` or `checked_`: other lines cannot match.
+        if !code.contains('!') && !code.contains("checked_") {
+            continue;
+        }
         for marker in SITE_MARKERS {
             let mut from = 0;
             while let Some(rel) = code[from..].find(marker) {

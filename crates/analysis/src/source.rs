@@ -10,9 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use tt_contracts::span::{
-    find_token, scan_text, strip_comments_and_strings, FnSpan, ScannedFile, SourceIndex, Span,
-};
+pub use tt_contracts::span::{find_token, scan_text, FnSpan, ScannedFile, SourceIndex, Span};
 
 /// Loads and scans one file, returning `None` on read failure.
 pub fn scan_file(root: &Path, path: &Path) -> Option<ScannedFile> {
@@ -77,6 +75,20 @@ mod tests {
         assert!(paths
             .iter()
             .all(|p| !p.to_string_lossy().contains("shims/")));
+    }
+
+    #[test]
+    fn stored_hashes_are_fnv_over_the_raw_lines_on_the_real_tree() {
+        let files = crate::audit::load_workspace(&crate::audit::workspace_root());
+        assert!(files.len() > 20);
+        for f in &files {
+            let mut h = tt_contracts::span::Fnv::new();
+            for line in &f.raw {
+                h.mix_str(line);
+            }
+            assert_eq!(f.content_hash(), h.finish(), "{}", f.rel_path);
+            assert_eq!(f.imbalance(), None, "{}", f.rel_path);
+        }
     }
 
     #[test]

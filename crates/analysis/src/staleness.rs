@@ -29,8 +29,8 @@
 use crate::config::AuditConfig;
 use crate::crosscheck;
 use crate::findings::{Finding, Pass};
-use crate::source::{find_token, ScannedFile};
-use crate::tcb::{RAW_POINTER_OPS, REGISTER_STORES};
+use crate::source::ScannedFile;
+use crate::tcb::line_has_construct;
 use tt_contracts::obligation::Registry;
 
 /// One stale allowlist entry: enough to print a removal instruction.
@@ -58,23 +58,6 @@ impl StaleEntry {
             ),
         }
     }
-}
-
-/// Whether one stripped code line contains a TCB construct — the same
-/// token set the TCB audit flags, plus the defining occurrences (a
-/// trusted register file *defines* `write_rbar`; that definition is what
-/// the entry exists to cover).
-fn line_has_construct(code: &str) -> bool {
-    if find_token(code, "unsafe").is_some() {
-        return true;
-    }
-    if code.contains("*mut ") || code.contains("*const ") {
-        return true;
-    }
-    REGISTER_STORES
-        .iter()
-        .chain(RAW_POINTER_OPS)
-        .any(|t| find_token(code, t).is_some())
 }
 
 /// Whether any line in `lines` contains a TCB construct.

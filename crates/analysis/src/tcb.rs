@@ -33,9 +33,40 @@ pub(crate) const REGISTER_STORES: &[&str] = &[
 /// Raw pointer / DMA operation tokens.
 pub(crate) const RAW_POINTER_OPS: &[&str] = &["transmute", "read_volatile", "write_volatile"];
 
+/// Whether one stripped code line holds a TCB construct: an identifier
+/// that is `unsafe` or one of the tokens above, or a `*mut`/`*const`
+/// type. One pass over the line's identifiers instead of a search per
+/// token; an identifier matches exactly where [`find_token`] would. The
+/// audit below uses it to skip lines; the staleness lint uses it as is,
+/// so a defining `fn write_rbar` counts there (that definition is what a
+/// trusted register file's entry covers).
+pub(crate) fn line_has_construct(code: &str) -> bool {
+    code.contains("*mut ")
+        || code.contains("*const ")
+        || code
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .any(|w| w == "unsafe" || REGISTER_STORES.contains(&w) || RAW_POINTER_OPS.contains(&w))
+}
+
 /// Scans one file for TCB surface outside the allowlist.
 pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
+    // Every other pass trusts the scanner's code view; a view that does
+    // not close its braces means a literal or comment was mis-lexed.
+    if let Some(open) = file.imbalance() {
+        findings.push(Finding {
+            pass: Pass::Tcb,
+            span: Some(Span {
+                file: file.rel_path.clone(),
+                line: open.line,
+            }),
+            message: format!(
+                "the scanner's code view ends at brace depth {} (it last left depth 0 on \
+                 this line): a literal or comment was mis-lexed, so no pass can trust this file",
+                open.depth
+            ),
+        });
+    }
     if config.is_trusted_file(&file.rel_path) {
         return findings; // The whole file is declared TCB.
     }
@@ -58,6 +89,9 @@ pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
         }
     };
     for (idx, code) in file.code.iter().enumerate() {
+        if !line_has_construct(code) {
+            continue;
+        }
         let line = idx + 1;
         if find_token(code, "unsafe").is_some() {
             report(
@@ -158,6 +192,49 @@ mod tests {
         let fn_level = audit_file(&f, &cfg(&["crates/x/src/lib.rs::commit"]));
         assert_eq!(fn_level.len(), 1);
         assert_eq!(fn_level[0].span.as_ref().unwrap().line, 5);
+    }
+
+    #[test]
+    fn a_mis_lexed_file_is_flagged_even_when_trusted() {
+        let f = scan_text(
+            "crates/x/src/lib.rs",
+            "pub fn ok() {}\n\npub fn open() {\n    work();\n",
+        );
+        for config in [cfg(&[]), cfg(&["crates/x/src/lib.rs"])] {
+            let findings = audit_file(&f, &config);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(findings[0].span.as_ref().unwrap().line, 3);
+            assert!(findings[0].message.contains("brace depth 1"));
+        }
+    }
+
+    #[test]
+    fn the_line_prefilter_agrees_with_the_token_search() {
+        let tokens: Vec<&str> = ["unsafe"]
+            .iter()
+            .chain(REGISTER_STORES)
+            .chain(RAW_POINTER_OPS)
+            .copied()
+            .collect();
+        for line in [
+            "unsafe {",
+            "hw.write_rbar(0);",
+            "let t = transmute(x);",
+            "p: *mut u8",
+            "p: *const u8",
+            "*x = 1;",
+            "unsafe_marker();",
+            "my_write_rbar();",
+            "write_rbar2()",
+            "é transmute é",
+            "let x = 1;",
+            "",
+        ] {
+            let slow = tokens.iter().any(|t| find_token(line, t).is_some())
+                || line.contains("*mut ")
+                || line.contains("*const ");
+            assert_eq!(line_has_construct(line), slow, "{line:?}");
+        }
     }
 
     #[test]

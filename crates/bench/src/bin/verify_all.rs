@@ -98,11 +98,12 @@ fn main() -> ExitCode {
             "cold"
         };
         println!(
-            "incremental: {mode} run on {} worker{}, hit rate {:.1}%, wall {} (cold {}), speedup {:.1}x",
+            "incremental: {mode} run on {} worker{}, hit rate {:.1}%, wall {} (scan {}, cold {}), speedup {:.1}x",
             run.threads,
             if run.threads == 1 { "" } else { "s" },
             run.hit_rate * 100.0,
             fmt_duration(run.wall),
+            fmt_duration(run.scan),
             fmt_duration(run.cold_wall),
             run.speedup()
         );

@@ -72,6 +72,9 @@ pub struct IncrementalRun {
     pub outcome: LoadOutcome,
     /// Wall-clock of source indexing + verification for *this* run.
     pub wall: Duration,
+    /// The workspace scan's share of `wall`: reading and lexing every
+    /// source file once, before the index and the cache lookups.
+    pub scan: Duration,
     /// The cold-run wall recorded in the cache header (this run's own wall
     /// if this run was cold).
     pub cold_wall: Duration,
@@ -111,7 +114,10 @@ pub fn run(effort: Effort, path: &Path, force_cold: bool) -> IncrementalRun {
     };
 
     let start = Instant::now();
-    let index = source_index(&tt_analysis::audit::workspace_root());
+    let files = tt_analysis::audit::load_workspace(&tt_analysis::audit::workspace_root());
+    let scan = start.elapsed();
+    let index = SourceIndex::from_files(&files);
+    drop(files);
     let registry = crate::fig12::build_registry(effort);
     let verifier = Verifier::new();
     let report = verifier.verify_incremental(&registry, &mut cache, &index);
@@ -133,6 +139,7 @@ pub fn run(effort: Effort, path: &Path, force_cold: bool) -> IncrementalRun {
         report,
         outcome,
         wall,
+        scan,
         cold_wall,
         hit_rate,
         threads: verifier.threads(),
@@ -163,6 +170,7 @@ pub fn to_json(run: &IncrementalRun, effort_name: &str) -> String {
         format_args!("{:.4}", run.hit_rate)
     ));
     out.push_str(&format!("  \"wall_ms\": {},\n", ms(run.wall)));
+    out.push_str(&format!("  \"scan_ms\": {},\n", ms(run.scan)));
     out.push_str(&format!("  \"cold_wall_ms\": {},\n", ms(run.cold_wall)));
     out.push_str(&format!("  \"speedup\": {},\n", json::num(run.speedup())));
     let all = run.report.component_stats("");
@@ -279,6 +287,7 @@ mod tests {
             "cache_hit_rate",
             "threads",
             "wall_ms",
+            "scan_ms",
             "cold_wall_ms",
             "speedup",
             "skipped_fns",
@@ -292,6 +301,8 @@ mod tests {
             json::read_number(&doc, "threads"),
             Some(cold.threads as f64)
         );
+        let scan_ms = json::read_number(&doc, "scan_ms").expect("scan_ms");
+        assert!(scan_ms > 0.0 && scan_ms <= json::read_number(&doc, "wall_ms").unwrap());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -3,11 +3,16 @@
 //! incremental verifier ([`crate::vcache`]).
 //!
 //! The build environment is dependency-frozen (no `syn`), so the scanner is
-//! a small line-oriented lexer: it strips comments and string literals with
-//! a cross-line state machine, truncates each file at its top-level
-//! `#[cfg(test)]` module (test modules sit at the end of every file in this
-//! codebase, the same convention `tt_contracts::effort` relies on), and
-//! recovers `fn` item spans by brace counting. That is deliberately *not* a
+//! a small line-oriented lexer. One left-to-right pass over each file
+//! strips comments and literals with a cross-line state machine (strings,
+//! raw strings and block comments may all span lines), counts braces,
+//! hashes the kept lines, and stops at the first top-level `#[cfg(test)]`
+//! (test modules sit at the end of every file in this codebase, the same
+//! convention `tt_contracts::effort` relies on): nothing past the cut is
+//! lexed. `fn` item spans are then recovered by brace counting over the
+//! kept lines. A code view whose braces do not close by the cut is
+//! recorded ([`Imbalance`]) and the TCB audit reports it, so a mis-lex
+//! shows instead of silently hiding code. This is deliberately *not* a
 //! full parser: every consumer tolerates over-approximation (a flagged line
 //! a human can inspect, a spuriously invalidated cache entry) but never
 //! under-approximates — unmatched constructs stay visible rather than
@@ -18,7 +23,7 @@
 //! hashes, so any textual change to a function — body, signature, contract
 //! site, or a `// TRUSTED:` marker — changes its hash and forces
 //! re-discharge. Edits past the `#[cfg(test)]` cut do not: test-only churn
-//! stays warm.
+//! stays warm. Each file's hash is computed once, during its scan.
 
 use std::collections::BTreeMap;
 
@@ -38,7 +43,7 @@ impl std::fmt::Display for Span {
 }
 
 /// One `fn` item recovered by the scanner.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnSpan {
     /// The function's name (the identifier after `fn`).
     pub name: String,
@@ -56,6 +61,17 @@ pub struct FnSpan {
     pub loc: usize,
 }
 
+/// A code view that is not back at brace depth 0 by the test-module cut
+/// (or end of file): in well-formed Rust, the sign that the scanner
+/// mis-lexed a literal or comment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Imbalance {
+    /// Brace depth at the cut.
+    pub depth: i64,
+    /// 1-based line where the depth last left 0.
+    pub line: usize,
+}
+
 /// A scanned file: raw lines plus a code-only view (comments and string
 /// contents removed) and the recovered `fn` spans.
 #[derive(Debug, Clone)]
@@ -69,6 +85,10 @@ pub struct ScannedFile {
     pub code: Vec<String>,
     /// Recovered function spans, in order of appearance.
     pub fns: Vec<FnSpan>,
+    /// [`ScannedFile::content_hash`], computed during the scan.
+    hash: u64,
+    /// Brace depth left open at the cut, if any.
+    imbalance: Option<Imbalance>,
 }
 
 /// The FNV-1a 64-bit offset basis.
@@ -144,14 +164,16 @@ impl ScannedFile {
         h.finish()
     }
 
-    /// Content hash of the whole audited view of the file (the raw lines
-    /// before the `#[cfg(test)]` cut). Test-module edits do not change it.
+    /// Content hash of the whole audited view of the file: FNV-1a over the
+    /// raw lines before the `#[cfg(test)]` cut, computed once during the
+    /// scan. Test-module edits do not change it.
     pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv::new();
-        for line in &self.raw {
-            h.mix_str(line);
-        }
-        h.finish()
+        self.hash
+    }
+
+    /// The code view's brace depth at the cut, when it is not 0.
+    pub fn imbalance(&self) -> Option<Imbalance> {
+        self.imbalance
     }
 }
 
@@ -268,149 +290,170 @@ fn raw_string_start(b: &[u8], i: usize) -> Option<(usize, usize)> {
     (k < b.len() && b[k] == b'"').then_some((hashes, k + 1))
 }
 
-/// Strips comments and string literals from `text`, preserving line
-/// structure. String literals collapse to `""` so that tokens inside them
-/// (an `unsafe` in a diagnostic message, a register name in a doc string)
-/// never reach the pattern matchers. Handles line and (nested) block
-/// comments, plain/byte/C strings, raw strings with any `#` depth and any
-/// `b`/`c` prefix (all may span lines), and char literals.
-pub fn strip_comments_and_strings(text: &str) -> Vec<String> {
-    #[derive(PartialEq)]
-    enum St {
-        Code,
-        Block(usize),
-        Str,
-        RawStr(usize),
-        Char,
-    }
-    let mut state = St::Code;
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let b = line.as_bytes();
-        let mut kept = String::with_capacity(line.len());
-        let mut i = 0;
-        while i < b.len() {
-            match state {
-                St::Code => {
-                    if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'/' {
-                        break; // Line comment: rest of line gone.
-                    }
-                    if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
-                        state = St::Block(1);
-                        i += 2;
-                        continue;
-                    }
-                    if let Some((hashes, start)) = raw_string_start(b, i) {
-                        kept.push_str("\"\"");
-                        state = St::RawStr(hashes);
-                        i = start;
-                        continue;
-                    }
-                    if b[i] == b'"' {
-                        kept.push_str("\"\"");
-                        state = St::Str;
-                        i += 1;
-                        continue;
-                    }
-                    if b[i] == b'\'' {
-                        // Char literal or lifetime. Lifetimes ('a) have an
-                        // identifier char right after and no closing quote
-                        // within two chars; treat `'x'` and escapes as chars.
-                        let is_char = (i + 2 < b.len() && b[i + 2] == b'\'')
-                            || (i + 1 < b.len() && b[i + 1] == b'\\');
-                        if is_char {
-                            kept.push_str("' '");
-                            state = St::Char;
-                            i += 1;
-                            continue;
-                        }
-                    }
-                    kept.push(b[i] as char);
-                    i += 1;
-                }
-                St::Block(depth) => {
-                    if b[i] == b'*' && i + 1 < b.len() && b[i + 1] == b'/' {
-                        state = if depth == 1 {
-                            St::Code
-                        } else {
-                            St::Block(depth - 1)
-                        };
-                        i += 2;
-                    } else if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
-                        state = St::Block(depth + 1);
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                }
-                St::Str => {
-                    if b[i] == b'\\' {
-                        i += 2;
-                    } else if b[i] == b'"' {
-                        state = St::Code;
-                        i += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-                St::RawStr(hashes) => {
-                    if b[i] == b'"' {
-                        let mut j = i + 1;
-                        let mut h = 0;
-                        while j < b.len() && b[j] == b'#' && h < hashes {
-                            h += 1;
-                            j += 1;
-                        }
-                        if h == hashes {
-                            state = St::Code;
-                            i = j;
-                            continue;
-                        }
-                    }
-                    i += 1;
-                }
-                St::Char => {
-                    if b[i] == b'\\' {
-                        i += 2;
-                    } else if b[i] == b'\'' {
-                        state = St::Code;
-                        i += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        out.push(kept);
-        // A string/char cannot span lines (raw strings and block comments
-        // can); reset the simple states at end of line.
-        if state == St::Str || state == St::Char {
-            state = St::Code;
-        }
-    }
-    out
+/// Lexer state carried from one line to the next. A char literal never
+/// spans lines, so it has no state here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lex {
+    Code,
+    /// Inside a block comment nested this deep.
+    Block(usize),
+    /// Inside a plain, byte or C string literal.
+    Str,
+    /// Inside a raw string that a `"` plus this many `#` closes.
+    RawStr(usize),
 }
 
-/// Finds the test-module cut: the first *top-level* `#[cfg(test)]` item
-/// (brace depth 0 in the code view), the repository's end-of-file
-/// test-module convention. A `#[cfg(test)]` on a statement *inside* a
-/// function body no longer truncates the file (it used to miscount braces
-/// for everything after it).
-fn test_module_cut(code: &[String]) -> usize {
-    let mut depth: i64 = 0;
-    for (idx, cl) in code.iter().enumerate() {
-        if depth == 0 && cl.trim_start().starts_with("#[cfg(test)]") {
-            return idx;
+/// What opens at a byte of code.
+enum Open {
+    LineComment,
+    BlockComment,
+    Str,
+    RawStr { hashes: usize, content: usize },
+    Char,
+}
+
+/// The bytes that can open a comment or a literal; [`next_open`] steps
+/// over every other byte without a second look.
+const OPENERS: [bool; 256] = {
+    let mut t = [false; 256];
+    let mut k = 0;
+    while k < 6 {
+        t[b"/\"'rbc"[k] as usize] = true;
+        k += 1;
+    }
+    t
+};
+
+/// Finds the first byte at or after `i` that opens a comment or a literal.
+/// Lifetimes (`'a`) have an identifier char after the quote and no closing
+/// quote two bytes on; `'x'` and escapes (`'\n'`) are char literals.
+fn next_open(b: &[u8], mut i: usize) -> (usize, Option<Open>) {
+    while i < b.len() {
+        if !OPENERS[b[i] as usize] {
+            i += 1;
+            continue;
         }
-        for ch in cl.chars() {
-            match ch {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                _ => {}
+        let open = match b[i] {
+            b'/' => match b.get(i + 1) {
+                Some(b'/') => Some(Open::LineComment),
+                Some(b'*') => Some(Open::BlockComment),
+                _ => None,
+            },
+            b'"' => Some(Open::Str),
+            b'\'' if b.get(i + 2) == Some(&b'\'') || b.get(i + 1) == Some(&b'\\') => {
+                Some(Open::Char)
+            }
+            // A raw string opens with `r"`, `r#`, or a `b`/`c` before them.
+            c @ (b'r' | b'b' | b'c')
+                if matches!(
+                    (c, b.get(i + 1)),
+                    (b'r', Some(b'"' | b'#')) | (b'b' | b'c', Some(b'r'))
+                ) =>
+            {
+                raw_string_start(b, i).map(|(hashes, content)| Open::RawStr { hashes, content })
+            }
+            _ => None,
+        };
+        if open.is_some() {
+            return (i, open);
+        }
+        i += 1;
+    }
+    (i, None)
+}
+
+/// Appends one line's code to `kept`, with comments and literal contents
+/// stripped, continuing from (and updating) the cross-line `state`. A
+/// string literal collapses to `""` and a char literal to `' '`, so tokens
+/// inside them (an `unsafe` in a diagnostic message, a register name in a
+/// doc string) never reach the pattern matchers. Runs of plain code are
+/// copied whole.
+fn strip_line(state: &mut Lex, line: &str, kept: &mut String) {
+    let b = line.as_bytes();
+    let n = b.len();
+    let mut i = 0;
+    while i < n {
+        match *state {
+            Lex::Code => {
+                // Every opener is ASCII, so `i` stays on a char boundary.
+                let (at, open) = next_open(b, i);
+                kept.push_str(&line[i..at]);
+                i = at;
+                match open {
+                    None => {}
+                    Some(Open::LineComment) => break,
+                    Some(Open::BlockComment) => {
+                        *state = Lex::Block(1);
+                        i += 2;
+                    }
+                    Some(Open::Str) => {
+                        kept.push_str("\"\"");
+                        *state = Lex::Str;
+                        i += 1;
+                    }
+                    Some(Open::RawStr { hashes, content }) => {
+                        kept.push_str("\"\"");
+                        *state = Lex::RawStr(hashes);
+                        i = content;
+                    }
+                    Some(Open::Char) => {
+                        kept.push_str("' '");
+                        i += 1;
+                        // The literal ends at the next unescaped quote on
+                        // this line, or with the line.
+                        while i < n {
+                            match b[i] {
+                                b'\\' => i += 2,
+                                b'\'' => {
+                                    i += 1;
+                                    break;
+                                }
+                                _ => i += 1,
+                            }
+                        }
+                    }
+                }
+            }
+            Lex::Block(depth) => {
+                while i + 1 < n && !matches!(&b[i..i + 2], b"*/" | b"/*") {
+                    i += 1;
+                }
+                if i + 1 >= n {
+                    break;
+                }
+                *state = match (b[i], depth) {
+                    (b'/', _) => Lex::Block(depth + 1),
+                    (_, 1) => Lex::Code,
+                    _ => Lex::Block(depth - 1),
+                };
+                i += 2;
+            }
+            Lex::Str => {
+                while i < n {
+                    match b[i] {
+                        b'\\' => i += 2,
+                        b'"' => {
+                            *state = Lex::Code;
+                            i += 1;
+                            break;
+                        }
+                        _ => i += 1,
+                    }
+                }
+            }
+            Lex::RawStr(hashes) => {
+                while i < n {
+                    let end = i + 1 + hashes;
+                    if b[i] == b'"' && end <= n && b[i + 1..end].iter().all(|&c| c == b'#') {
+                        *state = Lex::Code;
+                        i = end;
+                        break;
+                    }
+                    i += 1;
+                }
             }
         }
     }
-    code.len()
 }
 
 /// Extracts the identifier after `fn ` on a code line, if any.
@@ -428,42 +471,69 @@ fn fn_name(code_line: &str) -> Option<String> {
 }
 
 /// Finds `token` in `line` at identifier boundaries (so `fn` does not match
-/// inside `fn_name` or `dyn_fn`).
+/// inside `fn_name` or `dyn_fn`). An empty token never matches.
 pub fn find_token(line: &str, token: &str) -> Option<usize> {
-    let b = line.as_bytes();
-    let mut from = 0;
-    while let Some(rel) = line[from..].find(token) {
-        let at = from + rel;
-        let before_ok = at == 0 || {
-            let c = b[at - 1];
-            !(c.is_ascii_alphanumeric() || c == b'_')
-        };
-        let after = at + token.len();
-        let after_ok = after >= b.len() || {
-            let c = b[after];
-            !(c.is_ascii_alphanumeric() || c == b'_')
-        };
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        from = at + 1;
-    }
-    None
+    let (b, t) = (line.as_bytes(), token.as_bytes());
+    let first = *t.first()?;
+    let ident = |c: &u8| c.is_ascii_alphanumeric() || *c == b'_';
+    (0..(b.len() + 1).checked_sub(t.len())?).find(|&at| {
+        b[at] == first
+            && b[at..].starts_with(t)
+            && (at == 0 || !ident(&b[at - 1]))
+            && !b.get(at + t.len()).is_some_and(ident)
+    })
 }
 
-/// Scans one source text into a [`ScannedFile`].
+/// Scans one source text into a [`ScannedFile`], in one left-to-right
+/// pass that strips each line, counts its braces and stops at the first
+/// top-level `#[cfg(test)]`. The cut is found on the *stripped* view, so a
+/// `#[cfg(test)]` inside a comment, a string or a fn body does not
+/// truncate. Nothing past the cut is lexed.
 pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
-    let all_raw: Vec<String> = text.lines().map(str::to_string).collect();
-    let mut all_code = strip_comments_and_strings(text);
-    all_code.resize(all_raw.len(), String::new());
-    // The cut is computed on the *stripped* view, so a `#[cfg(test)]`
-    // inside a comment or string does not truncate, and only a top-level
-    // one (depth 0) does.
-    let cut = test_module_cut(&all_code);
-    let raw: Vec<String> = all_raw[..cut].to_vec();
-    let code: Vec<String> = all_code[..cut].to_vec();
+    let mut state = Lex::Code;
+    let (mut raw, mut code) = (Vec::new(), Vec::new());
+    let mut hash = Fnv::new();
+    let mut depth: i64 = 0;
+    let mut left_zero = 0;
+    let mut cl = String::new();
+    for line in text.lines() {
+        cl.clear();
+        strip_line(&mut state, line, &mut cl);
+        if depth == 0 && cl.trim_start().starts_with("#[cfg(test)]") {
+            break;
+        }
+        for &c in cl.as_bytes() {
+            let step = match c {
+                b'{' => 1,
+                b'}' => -1,
+                _ => continue,
+            };
+            if depth == 0 {
+                left_zero = raw.len() + 1;
+            }
+            depth += step;
+        }
+        hash.mix_str(line);
+        raw.push(line.to_owned());
+        // The buffer is reused; its clone is sized to the code alone.
+        code.push(cl.clone());
+    }
+    let fns = recover_fns(&raw, &code);
+    ScannedFile {
+        rel_path: rel_path.to_string(),
+        raw,
+        code,
+        fns,
+        hash: hash.finish(),
+        imbalance: (depth != 0).then_some(Imbalance {
+            depth,
+            line: left_zero,
+        }),
+    }
+}
 
-    // Recover fn spans by brace counting from each `fn` keyword.
+/// Recovers `fn` spans by brace counting from each `fn` keyword.
+fn recover_fns(raw: &[String], code: &[String]) -> Vec<FnSpan> {
     let mut fns = Vec::new();
     let mut depth: i64 = 0;
     let mut open: Vec<(String, usize, bool, bool, bool, i64)> = Vec::new();
@@ -486,39 +556,35 @@ pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
                     break;
                 }
             }
-            if !sig[..sig.find('{').unwrap_or(sig.len())].contains(';') {
+            let head = &sig[..sig.find('{').unwrap_or(sig.len())];
+            if !head.contains(';') {
                 let is_pub = cl.trim_start().starts_with("pub");
-                let mut_self = sig[..sig.find('{').unwrap_or(sig.len())].contains("&mut self");
+                let mut_self = head.contains("&mut self");
                 open.push((name, idx + 1, is_pub, mut_self, pending_trusted, depth));
             }
             pending_trusted = false;
         }
-        for ch in cl.chars() {
-            match ch {
-                '{' => depth += 1,
-                '}' => {
+        for &c in cl.as_bytes() {
+            match c {
+                b'{' => depth += 1,
+                b'}' => {
                     depth -= 1;
                     // Any fn whose body opened above this depth closes here.
-                    while let Some(&(_, _, _, _, _, d)) = open.last() {
-                        if depth <= d {
-                            let (name, start, is_pub, takes_mut_self, trusted, _) =
-                                open.pop().unwrap();
-                            let loc = raw[start - 1..=idx]
-                                .iter()
-                                .filter(|l| !l.trim().is_empty())
-                                .count();
-                            fns.push(FnSpan {
-                                name,
-                                start,
-                                end: idx + 1,
-                                is_pub,
-                                takes_mut_self,
-                                trusted,
-                                loc,
-                            });
-                        } else {
-                            break;
-                        }
+                    while open.last().is_some_and(|o| depth <= o.5) {
+                        let (name, start, is_pub, takes_mut_self, trusted, _) = open.pop().unwrap();
+                        let loc = raw[start - 1..=idx]
+                            .iter()
+                            .filter(|l| !l.trim().is_empty())
+                            .count();
+                        fns.push(FnSpan {
+                            name,
+                            start,
+                            end: idx + 1,
+                            is_pub,
+                            takes_mut_self,
+                            trusted,
+                            loc,
+                        });
                     }
                 }
                 _ => {}
@@ -526,17 +592,17 @@ pub fn scan_text(rel_path: &str, text: &str) -> ScannedFile {
         }
     }
     fns.sort_by_key(|f| f.start);
-    ScannedFile {
-        rel_path: rel_path.to_string(),
-        raw,
-        code,
-        fns,
-    }
+    fns
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The code view of a source with no test module.
+    fn strip(text: &str) -> Vec<String> {
+        scan_text("s.rs", text).code
+    }
 
     const SAMPLE: &str = r#"
 //! Docs mentioning unsafe and write_rbar( in prose.
@@ -601,7 +667,7 @@ mod tests {
 
     #[test]
     fn raw_strings_are_stripped() {
-        let code = strip_comments_and_strings("let x = r#\"unsafe \"# ; fn f() {}");
+        let code = strip("let x = r#\"unsafe \"# ; fn f() {}");
         assert!(!code[0].contains("unsafe"));
         assert!(code[0].contains("fn f()"));
     }
@@ -622,7 +688,7 @@ mod tests {
 
     #[test]
     fn char_literals_do_not_open_strings() {
-        let code = strip_comments_and_strings("let c = '\"'; let d = unsafe_marker;");
+        let code = strip("let c = '\"'; let d = unsafe_marker;");
         assert!(code[0].contains("unsafe_marker"));
     }
 
@@ -644,9 +710,9 @@ mod tests {
         // `br#"..."#` used to miss the raw-string fast path (the `b`
         // prefix made the `r` look like part of an identifier), letting
         // the inner quote open a plain string and leak `{ unsafe` as code.
-        let code = strip_comments_and_strings("let x = br#\"say \"hi\" { unsafe\"#; fn f() {}");
+        let code = strip("let x = br#\"say \"hi\" { unsafe\"#; fn f() {}");
         assert_eq!(code[0], "let x = \"\"; fn f() {}", "{code:?}");
-        let code = strip_comments_and_strings("let y = b\"{\"; let z = cr\"}\"; fn g() {}");
+        let code = strip("let y = b\"{\"; let z = cr\"}\"; fn g() {}");
         // The `b` prefix of a plain byte string stays as code (harmless);
         // what matters is the literal content (the braces) is gone.
         assert_eq!(
@@ -654,7 +720,7 @@ mod tests {
             "{code:?}"
         );
         // A raw *identifier* (`r#fn`) is not a string start.
-        let code = strip_comments_and_strings("let r#fn = 1; other(r#fn);");
+        let code = strip("let r#fn = 1; other(r#fn);");
         assert!(code[0].contains("other"));
     }
 
@@ -757,6 +823,391 @@ mod tests {
         // Changing either definition changes the combined hash.
         assert_ne!(idx.fn_hash("new"), idx2.fn_hash("new"));
         assert_ne!(idx.workspace_hash(), idx2.workspace_hash());
+    }
+
+    // --- Multi-line strings and the one-pass scanner ---
+
+    /// The shape that once hid a test module: a `\`-continued `format!`
+    /// string whose continuation line opens with `{{`.
+    const REPORT_SHAPED: &str = r#"pub fn to_json(c: &Stats) -> String {
+    format!(
+        ",\n  \"cache\": {{\"mode\": \"{}\", \
+         {{\"tcb\": {}}}}}",
+        c.mode, c.tcb
+    )
+}
+
+pub fn render(c: &Stats) -> String {
+    c.to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    fn invisible() {}
+}
+"#;
+
+    #[test]
+    fn continued_strings_stay_out_of_the_code_view() {
+        let f = scan_text("s.rs", REPORT_SHAPED);
+        assert_eq!(f.code[3].trim(), ",", "{:?}", f.code);
+        let names: Vec<&str> = f.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["to_json", "render"], "{:?}", f.fns);
+        assert_eq!((f.fns[0].start, f.fns[0].end), (1, 7));
+        assert!(!f.raw.join("\n").contains("invisible"), "cut not found");
+        assert_eq!(f.imbalance(), None);
+    }
+
+    #[test]
+    fn literal_contents_never_reach_the_code_view() {
+        let code = strip("let s = \"a \\\n unsafe { \\\n b\"; fn f() {}");
+        assert_eq!(code, vec!["let s = \"\"", "", "; fn f() {}"]);
+        let code = strip("let s = \"line one\nunsafe {\n\"; x");
+        assert_eq!(code, vec!["let s = \"\"", "", "; x"]);
+        // A char literal ends with its line; a lifetime is code.
+        let code = strip("f('{', '\\'', 'x', \"é\"); fn g<'a>(s: &'a é) {}");
+        assert_eq!(code[0], "f(' ', ' ', ' ', \"\"); fn g<'a>(s: &'a é) {}");
+    }
+
+    #[test]
+    fn an_unclosed_brace_is_reported_with_its_line() {
+        let f = scan_text("s.rs", "fn ok() {}\n\nfn open() {\n    work();\n");
+        assert_eq!(f.imbalance(), Some(Imbalance { depth: 1, line: 3 }));
+        let f = scan_text("s.rs", "fn ok() {}\n}\nlet x = 1;\n");
+        assert_eq!(f.imbalance(), Some(Imbalance { depth: -1, line: 2 }));
+        assert_eq!(scan_text("s.rs", SAMPLE).imbalance(), None);
+    }
+
+    /// The scanner before the one-pass rewrite — whole-file stripping, a
+    /// separate cut walk, then fn recovery, and `find_token` by substring
+    /// search — with two fixes: a string literal may span lines, and
+    /// non-ASCII code is copied as UTF-8. `scan_text` must agree with it
+    /// on every input.
+    mod reference {
+        use super::super::*;
+
+        pub fn strip(text: &str) -> Vec<String> {
+            #[derive(PartialEq)]
+            enum St {
+                Code,
+                Block(usize),
+                Str,
+                RawStr(usize),
+                Char,
+            }
+            let mut state = St::Code;
+            let mut out = Vec::new();
+            for line in text.lines() {
+                let b = line.as_bytes();
+                let mut kept = String::with_capacity(line.len());
+                let mut i = 0;
+                while i < b.len() {
+                    match state {
+                        St::Code => {
+                            if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'/' {
+                                break;
+                            }
+                            if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
+                                state = St::Block(1);
+                                i += 2;
+                                continue;
+                            }
+                            if let Some((hashes, start)) = raw_string_start(b, i) {
+                                kept.push_str("\"\"");
+                                state = St::RawStr(hashes);
+                                i = start;
+                                continue;
+                            }
+                            if b[i] == b'"' {
+                                kept.push_str("\"\"");
+                                state = St::Str;
+                                i += 1;
+                                continue;
+                            }
+                            if b[i] == b'\'' {
+                                let is_char = (i + 2 < b.len() && b[i + 2] == b'\'')
+                                    || (i + 1 < b.len() && b[i + 1] == b'\\');
+                                if is_char {
+                                    kept.push_str("' '");
+                                    state = St::Char;
+                                    i += 1;
+                                    continue;
+                                }
+                            }
+                            let ch = line[i..].chars().next().unwrap();
+                            kept.push(ch);
+                            i += ch.len_utf8();
+                        }
+                        St::Block(depth) => {
+                            if b[i] == b'*' && i + 1 < b.len() && b[i + 1] == b'/' {
+                                state = if depth == 1 {
+                                    St::Code
+                                } else {
+                                    St::Block(depth - 1)
+                                };
+                                i += 2;
+                            } else if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
+                                state = St::Block(depth + 1);
+                                i += 2;
+                            } else {
+                                i += 1;
+                            }
+                        }
+                        St::Str => {
+                            if b[i] == b'\\' {
+                                i += 2;
+                            } else if b[i] == b'"' {
+                                state = St::Code;
+                                i += 1;
+                            } else {
+                                i += 1;
+                            }
+                        }
+                        St::RawStr(hashes) => {
+                            if b[i] == b'"' {
+                                let mut j = i + 1;
+                                let mut h = 0;
+                                while j < b.len() && b[j] == b'#' && h < hashes {
+                                    h += 1;
+                                    j += 1;
+                                }
+                                if h == hashes {
+                                    state = St::Code;
+                                    i = j;
+                                    continue;
+                                }
+                            }
+                            i += 1;
+                        }
+                        St::Char => {
+                            if b[i] == b'\\' {
+                                i += 2;
+                            } else if b[i] == b'\'' {
+                                state = St::Code;
+                                i += 1;
+                            } else {
+                                i += 1;
+                            }
+                        }
+                    }
+                }
+                out.push(kept);
+                // Only a char literal ends with its line.
+                if state == St::Char {
+                    state = St::Code;
+                }
+            }
+            out
+        }
+
+        pub fn find_token(line: &str, token: &str) -> Option<usize> {
+            let b = line.as_bytes();
+            let mut from = 0;
+            while let Some(rel) = line[from..].find(token) {
+                let at = from + rel;
+                let before_ok = at == 0 || {
+                    let c = b[at - 1];
+                    !(c.is_ascii_alphanumeric() || c == b'_')
+                };
+                let after = at + token.len();
+                let after_ok = after >= b.len() || {
+                    let c = b[after];
+                    !(c.is_ascii_alphanumeric() || c == b'_')
+                };
+                if before_ok && after_ok {
+                    return Some(at);
+                }
+                from = at + 1;
+            }
+            None
+        }
+
+        /// The first depth-0 `#[cfg(test)]` line, with the depth there
+        /// and the line where it last left 0.
+        fn cut(code: &[String]) -> (usize, Option<Imbalance>) {
+            let mut depth: i64 = 0;
+            let mut line = 0;
+            let mut at = code.len();
+            for (idx, cl) in code.iter().enumerate() {
+                if depth == 0 && cl.trim_start().starts_with("#[cfg(test)]") {
+                    at = idx;
+                    break;
+                }
+                for ch in cl.chars() {
+                    let before = depth;
+                    match ch {
+                        '{' => depth += 1,
+                        '}' => depth -= 1,
+                        _ => {}
+                    }
+                    if before == 0 && depth != 0 {
+                        line = idx + 1;
+                    }
+                }
+            }
+            (at, (depth != 0).then_some(Imbalance { depth, line }))
+        }
+
+        pub struct Scan {
+            pub raw: Vec<String>,
+            pub code: Vec<String>,
+            pub fns: Vec<FnSpan>,
+            pub hash: u64,
+            pub imbalance: Option<Imbalance>,
+        }
+
+        pub fn scan(text: &str) -> Scan {
+            let all_raw: Vec<String> = text.lines().map(str::to_string).collect();
+            let mut all_code = strip(text);
+            all_code.resize(all_raw.len(), String::new());
+            let (cut, imbalance) = cut(&all_code);
+            let raw: Vec<String> = all_raw[..cut].to_vec();
+            let code: Vec<String> = all_code[..cut].to_vec();
+
+            let mut fns = Vec::new();
+            let mut depth: i64 = 0;
+            let mut open: Vec<(String, usize, bool, bool, bool, i64)> = Vec::new();
+            let mut pending_trusted = false;
+            for (idx, cl) in code.iter().enumerate() {
+                let raw_line = raw[idx].trim();
+                if (raw_line.starts_with("//")
+                    || raw_line.starts_with("/*")
+                    || raw_line.starts_with('*'))
+                    && raw_line.contains("TRUSTED:")
+                {
+                    pending_trusted = true;
+                }
+                if let Some(name) = fn_name(cl) {
+                    let mut sig = String::new();
+                    for s in code.iter().skip(idx) {
+                        sig.push_str(s);
+                        sig.push(' ');
+                        if s.contains('{') || s.contains(';') {
+                            break;
+                        }
+                    }
+                    if !sig[..sig.find('{').unwrap_or(sig.len())].contains(';') {
+                        let is_pub = cl.trim_start().starts_with("pub");
+                        let mut_self =
+                            sig[..sig.find('{').unwrap_or(sig.len())].contains("&mut self");
+                        open.push((name, idx + 1, is_pub, mut_self, pending_trusted, depth));
+                    }
+                    pending_trusted = false;
+                }
+                for ch in cl.chars() {
+                    match ch {
+                        '{' => depth += 1,
+                        '}' => {
+                            depth -= 1;
+                            while let Some(&(_, _, _, _, _, d)) = open.last() {
+                                if depth <= d {
+                                    let (name, start, is_pub, takes_mut_self, trusted, _) =
+                                        open.pop().unwrap();
+                                    let loc = raw[start - 1..=idx]
+                                        .iter()
+                                        .filter(|l| !l.trim().is_empty())
+                                        .count();
+                                    fns.push(FnSpan {
+                                        name,
+                                        start,
+                                        end: idx + 1,
+                                        is_pub,
+                                        takes_mut_self,
+                                        trusted,
+                                        loc,
+                                    });
+                                } else {
+                                    break;
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            fns.sort_by_key(|f| f.start);
+            let mut h = Fnv::new();
+            for line in &raw {
+                h.mix_str(line);
+            }
+            Scan {
+                raw,
+                code,
+                fns,
+                hash: h.finish(),
+                imbalance,
+            }
+        }
+    }
+
+    /// Source fragments that exercise every lexer state and its edges.
+    const FRAGMENTS: &[&str] = &[
+        "\n",
+        "    ",
+        "fn a() {",
+        "pub fn b(&mut self) -> u8 {",
+        "fn sig(\n    x: u8,\n) {",
+        "trait T { fn decl(&self); }",
+        "impl X {",
+        "{",
+        "}",
+        "let x = 1;",
+        "// line { comment\n",
+        "// TRUSTED: reason\n",
+        "/// doc fn d() {\n",
+        "/* a { */",
+        "/* outer /* inner } */ still { */",
+        "/*",
+        "*/",
+        "\"s { \\\" }\"",
+        "\"cont {\\\n    }} more\"",
+        "\"open {\n",
+        "\"",
+        "\\",
+        "r#\"raw { \"# ",
+        "r\"}\"",
+        "br\"x{\"",
+        "cr##\"a \"# }\"##",
+        "r#\"multi\n{ line\"#",
+        "b\"{\"",
+        "'{'",
+        "'\\''",
+        "'\\u{7b}'",
+        "b'}'",
+        "<'a>",
+        "&'a str",
+        "'",
+        "é",
+        "#[cfg(test)]\n",
+        "\n#[cfg(test)]\nmod tests {\n",
+        "    #[cfg(test)]\n",
+        "unsafe { x }",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(2000))]
+
+        #[test]
+        fn one_pass_scan_matches_the_reference_scanner(
+            parts in proptest::collection::vec(proptest::sample::select(FRAGMENTS.to_vec()), 0..60)
+        ) {
+            let text = parts.concat();
+            let f = scan_text("s.rs", &text);
+            let r = reference::scan(&text);
+            proptest::prop_assert_eq!(&f.raw, &r.raw);
+            proptest::prop_assert_eq!(&f.code, &r.code);
+            proptest::prop_assert_eq!(&f.fns, &r.fns);
+            proptest::prop_assert_eq!(f.content_hash(), r.hash);
+            proptest::prop_assert_eq!(f.imbalance(), r.imbalance);
+            for line in text.lines().chain(f.code.iter().map(String::as_str)) {
+                for token in ["fn", "a", "self", "unsafe", "x"] {
+                    proptest::prop_assert_eq!(
+                        find_token(line, token),
+                        reference::find_token(line, token)
+                    );
+                }
+            }
+        }
     }
 
     #[test]
