@@ -46,6 +46,22 @@ pub fn path(args: &[String], flag: &str, default: &str) -> Option<String> {
     )
 }
 
+/// The baseline named by `--check [baseline]` (default
+/// `ci/bench_baseline.json`), read up front: `None` without `--check`. A
+/// baseline that cannot be read prints an error naming the path and exits
+/// with status 1, so a gate asked to check never runs its whole workload
+/// and then skips the check for want of a file.
+pub fn baseline(args: &[String]) -> Option<String> {
+    let path = path(args, "--check", "ci/bench_baseline.json")?;
+    match std::fs::read_to_string(&path) {
+        Ok(doc) => Some(doc),
+        Err(e) => {
+            eprintln!("failed to read baseline {path}: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
 /// The value following `flag`: `None` when the flag is absent. A flag
 /// given as the last argument or followed by another flag prints an
 /// error naming the flag and exits with status 2.

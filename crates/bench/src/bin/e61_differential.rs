@@ -12,18 +12,19 @@
 //! every `(chip, test)` diff is one unit of work on the work-stealing
 //! pool (`TT_BENCH_THREADS` sets the worker count) — and writes
 //! `BENCH_e61.json` with the per-chip 21/5 shape and the suite
-//! wall-clock.
+//! wall-clock. An unknown argument exits 2, naming it.
 
 use std::process::ExitCode;
 
-use tt_bench::reports;
+use tt_bench::{args, reports};
 use tt_kernel::differential::{render_report, run_release_suite, run_release_suite_all_chips};
 use tt_kernel::trace::render_divergence;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    args::only(&args, &["--trace"], &["--json"]);
     let trace_mode = args.iter().any(|a| a == "--trace");
-    let json_path = tt_bench::args::path(&args, "--json", "BENCH_e61.json");
+    let json_path = args::path(&args, "--json", "BENCH_e61.json");
 
     println!("Section 6.1: Differential testing (Tock vs TickTock, 21 release tests)");
     let results = run_release_suite();

@@ -3,10 +3,11 @@
 //! TickTock.
 //!
 //! `--json [path]` additionally writes `BENCH_e62.json` with the three
-//! configurations' measurements and the run's wall-clock.
+//! configurations' measurements and the run's wall-clock. An unknown
+//! argument exits 2, naming it.
 
 use tt_bench::e62::MemUsage;
-use tt_bench::json;
+use tt_bench::{args, json};
 
 fn row(name: &str, m: &MemUsage) -> String {
     format!(
@@ -22,7 +23,8 @@ fn row(name: &str, m: &MemUsage) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = tt_bench::args::path(&args, "--json", "BENCH_e62.json");
+    args::only(&args, &[], &["--json"]);
+    let json_path = args::path(&args, "--json", "BENCH_e62.json");
 
     println!("Section 6.2: Memory usage (grow-by-1-byte-until-failure)");
     let started = std::time::Instant::now();

@@ -21,7 +21,7 @@
 //! exploration runs. With
 //! `--json [path]`, writes `BENCH_explore.json`. `--budget-ms N` bounds
 //! fleet wall clock (late units report truncated, and the gate refuses
-//! to pass on truncation alone).
+//! to pass on truncation alone). An unknown argument exits 2, naming it.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -37,6 +37,20 @@ use tt_kernel::corpus::write_corpus;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    args::only(
+        &args,
+        &[],
+        &[
+            "--seeds",
+            "--planted-seeds",
+            "--cap",
+            "--budget-ms",
+            "--threads",
+            "--corpus",
+            "--json",
+            "--check",
+        ],
+    );
     let seeds: u64 = args::number(&args, "--seeds").unwrap_or(2);
     let planted_seeds: u64 = args::number(&args, "--planted-seeds").unwrap_or(25);
     let cap: Option<usize> = args::number(&args, "--cap");
@@ -45,18 +59,7 @@ fn main() -> ExitCode {
     let corpus_dir =
         args::path(&args, "--corpus", "ci/corpus").unwrap_or_else(|| "ci/corpus".into());
     let json_path = args::path(&args, "--json", "BENCH_explore.json");
-    // Read the baseline up front: a gate asked to check must not run its
-    // whole sweep and then skip the floor for want of a file.
-    let baseline = match args::path(&args, "--check", "ci/bench_baseline.json") {
-        Some(path) => match std::fs::read_to_string(&path) {
-            Ok(doc) => Some(doc),
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let baseline = args::baseline(&args);
 
     // Replay the persisted schedule corpus first — a previously-failing
     // schedule reporting in the opening seconds beats rediscovering it.

@@ -26,7 +26,8 @@
 //! `parallel_speedup`, `deterministic`, `restore_speedup`,
 //! `midrun_restore_speedup`, the `phases` object and per-chip recovery
 //! latency, warm vs cold commit cache).
-//! With `--check [baseline]` (default `ci/bench_baseline.json`), exits
+//! With `--check [baseline]` (default `ci/bench_baseline.json`, read
+//! before the campaign runs, so an unreadable one fails at once), exits
 //! non-zero if any restored run is not byte-identical to its fresh-boot
 //! twin, if any campaign run fails the oracle, if the two rungs' reports
 //! are not byte-identical, or if a measured speedup misses its baseline
@@ -43,8 +44,9 @@
 //! (default `ci/corpus/`), and the first few failing seeds are shrunk to
 //! 1-minimal injection schedules for the report.
 //!
-//! A numeric flag whose value does not parse (`--runs 1e6`) is an error,
-//! not a silent fallback to the default.
+//! A numeric flag whose value does not parse (`--runs 1e6`) or an unknown
+//! argument (`--chek`) exits 2, naming it, instead of silently falling
+//! back to a default or skipping a gate.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -65,10 +67,15 @@ const SHRINK_LIMIT: usize = 10;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    args::only(
+        &args,
+        &["--profile"],
+        &["--runs", "--budget-ms", "--json", "--check", "--corpus"],
+    );
     let runs: u64 = args::number(&args, "--runs").unwrap_or(1000);
     let budget_ms: Option<f64> = args::number(&args, "--budget-ms");
     let json_path = args::path(&args, "--json", "BENCH_fleet.json");
-    let check_path = args::path(&args, "--check", "ci/bench_baseline.json");
+    let baseline = args::baseline(&args);
     let corpus_dir =
         args::path(&args, "--corpus", "ci/corpus").unwrap_or_else(|| "ci/corpus".into());
     let want_profile = args.iter().any(|a| a == "--profile");
@@ -151,14 +158,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if let Some(baseline) = baseline {
         let (notes, failures) = check(&ladder, &cost, &equivalence, &baseline, cores);
         for note in notes {
             println!("check: {note}");

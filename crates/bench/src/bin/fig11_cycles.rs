@@ -5,15 +5,17 @@
 //!
 //! `--json [path]` additionally writes `BENCH_fig11.json` (per-method
 //! cycles plus the PR 2 context-switch hit/miss/baseline split per chip).
-//! `--check <baseline.json>` compares the cache-hit context-switch cycles
-//! against a committed baseline and exits non-zero on a >10% regression —
-//! the CI gate for the commit cache.
+//! `--check [baseline]` (default `ci/bench_baseline.json`) compares the
+//! cache-hit context-switch cycles and the pinned per-method cycles
+//! against the baseline and exits non-zero on a >10% regression — the CI
+//! gate for the commit cache. The baseline is read before anything runs,
+//! so an unreadable one fails at once; an unknown argument exits 2.
 
 use std::process::ExitCode;
 
 use tt_bench::fig11::{render, run, Fig11Row};
 use tt_bench::switch::{measure_all, SwitchCost};
-use tt_bench::{json, pct_diff};
+use tt_bench::{args, json, pct_diff};
 
 fn render_json(rows: &[Fig11Row], switches: &[SwitchCost], wall_ms: f64) -> String {
     let mut out = String::new();
@@ -101,16 +103,9 @@ fn check_against(baseline: &str, rows: &[Fig11Row], switches: &[SwitchCost]) -> 
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_fig11.json".into())
-    });
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1).cloned());
+    args::only(&args, &[], &["--json", "--check"]);
+    let json_path = args::path(&args, "--json", "BENCH_fig11.json");
+    let baseline = args::baseline(&args);
 
     let started = std::time::Instant::now();
     let rows = run(3);
@@ -142,19 +137,12 @@ fn main() -> ExitCode {
         }
         println!("wrote {path}");
     }
-    if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if let Some(baseline) = baseline {
         if let Err(msg) = check_against(&baseline, &rows, &switches) {
             eprintln!("REGRESSION: {msg}");
             return ExitCode::FAILURE;
         }
-        println!("cache-hit context-switch cycles within 10% of {path}");
+        println!("cache-hit context-switch cycles within 10% of the baseline");
     }
     ExitCode::SUCCESS
 }

@@ -18,57 +18,65 @@
 //! * `--dump`: print both complete traces, not just the divergence.
 //! * `--chip`: one of the `tt_hw::platform` profiles (default
 //!   `nrf52840dk`).
+//!
+//! Exits 0 when the traces are equivalent and 1 when they diverge. A usage
+//! error — an unknown flag, a missing, second or unknown test name, or an
+//! unknown chip — exits 2 with the usage text, so a script can tell it
+//! from a finding.
 
 use std::process::ExitCode;
 
 use tt_hw::platform::{ChipProfile, ALL_CHIPS, NRF52840DK};
-use tt_kernel::apps::release_tests;
+use tt_kernel::apps::{release_tests, ReleaseTest};
 use tt_kernel::differential::run_one_on;
 use tt_kernel::process::Flavor;
 use tt_kernel::trace::{diff_traces, render_divergence, render_trace, TraceScope};
 use tt_legacy::BugVariant;
 
-fn find_chip(name: &str) -> Option<ChipProfile> {
-    ALL_CHIPS.into_iter().find(|c| c.name == name)
+/// Prints `error` and the usage text, and returns the usage exit code.
+fn usage(error: &str, tests: &[ReleaseTest]) -> ExitCode {
+    eprintln!("error: {error}");
+    eprintln!("usage: trace_diff <test-name> [--chip <name>] [--buggy] [--full] [--dump]");
+    eprintln!(
+        "release tests: {:?}",
+        tests.iter().map(|t| t.spec.name).collect::<Vec<_>>()
+    );
+    eprintln!("chips: {:?}", ALL_CHIPS.map(|c| c.name));
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut test_name = None;
-    let mut chip = NRF52840DK;
-    let mut buggy = false;
-    let mut full = false;
-    let mut dump = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let tests = release_tests();
+    let mut test: Option<&ReleaseTest> = None;
+    let mut chip: ChipProfile = NRF52840DK;
+    let (mut buggy, mut full, mut dump) = (false, false, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--chip" => match it.next().and_then(|n| find_chip(n)) {
-                Some(c) => chip = c,
-                None => {
-                    eprintln!("unknown chip; available: {:?}", ALL_CHIPS.map(|c| c.name));
-                    return ExitCode::FAILURE;
+            "--chip" => {
+                let name = args.next().unwrap_or_default();
+                match ALL_CHIPS.into_iter().find(|c| c.name == name) {
+                    Some(c) => chip = c,
+                    None => return usage(&format!("unknown chip {name:?}"), &tests),
                 }
-            },
+            }
             "--buggy" => buggy = true,
             "--full" => full = true,
             "--dump" => dump = true,
-            name => test_name = Some(name.to_string()),
+            flag if flag.starts_with("--") => {
+                return usage(&format!("unknown argument {flag:?}"), &tests)
+            }
+            name if test.is_some() => {
+                return usage(&format!("a second test name {name:?}"), &tests)
+            }
+            name => match tests.iter().find(|t| t.spec.name == name) {
+                Some(t) => test = Some(t),
+                None => return usage(&format!("unknown test {name:?}"), &tests),
+            },
         }
     }
-    let tests = release_tests();
-    let test = match test_name
-        .as_deref()
-        .and_then(|n| tests.iter().find(|t| t.spec.name == n))
-    {
-        Some(t) => t,
-        None => {
-            eprintln!("usage: trace_diff <test-name> [--chip <name>] [--buggy] [--full] [--dump]");
-            eprintln!(
-                "release tests: {:?}",
-                tests.iter().map(|t| t.spec.name).collect::<Vec<_>>()
-            );
-            return ExitCode::FAILURE;
-        }
+    let Some(test) = test else {
+        return usage("no test name given", &tests);
     };
 
     let ((left_name, left_flavor), (right_name, right_flavor), scope) = if buggy {

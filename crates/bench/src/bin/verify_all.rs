@@ -17,12 +17,16 @@
 //!   cold wall the warm speedup gate divides against)
 //! * `--no-cache`         — non-incremental run, no cache I/O
 //! * `--cache <path>`     — cache file location (default `ci/verify_cache.bin`)
-//! * `--json <path>`      — write the BENCH_fig12.json artifact
+//! * `--json <path>`      — write the `BENCH_fig12.json` artifact
 //! * `--check [baseline]` — enforce the warm-run floors from the baseline
 //!   (default `ci/bench_baseline.json`: hit rate, wall ceiling, speedup)
 //!
 //! A missing `--cache`/`--json` value or an unknown argument exits 2,
 //! and an unreadable baseline exits 1, before anything is verified.
+//!
+//! The printed table and the JSON artifact are Figure 12. The figure is
+//! defined on one worker, so it is regenerated with
+//! `TT_BENCH_THREADS=1 verify_all --cold --json BENCH_fig12.json`.
 
 use std::process::ExitCode;
 use tt_bench::args;
@@ -43,23 +47,14 @@ fn main() -> ExitCode {
     let no_cache = args.iter().any(|a| a == "--no-cache");
     let json_path = args::value(&args, "--json");
     let cache_arg = args::value(&args, "--cache");
-    let check_path = args::path(&args, "--check", "ci/bench_baseline.json");
     let effort = if quick { Effort::QUICK } else { Effort::FULL };
     let effort_name = if quick { "quick" } else { "full" };
-    if no_cache && (json_path.is_some() || check_path.is_some()) {
+    let check = args.iter().any(|a| a == "--check");
+    if no_cache && (json_path.is_some() || check) {
         eprintln!("error: --json/--check require the incremental cache (drop --no-cache)");
         return ExitCode::FAILURE;
     }
-    let baseline = match &check_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("error: could not read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let baseline = args::baseline(&args);
 
     // The Lean stand-in: exhaustive structural discharge of the lemmas.
     // Lemmas are axioms of everything else, so they are re-discharged on
@@ -82,15 +77,8 @@ fn main() -> ExitCode {
         (run.report.clone(), Some(run))
     };
 
-    for (component, stats) in report.by_component() {
-        println!(
-            "{component}: {} fns in {} ({} refuted, {} cached)",
-            stats.fns,
-            fmt_duration(stats.total),
-            stats.refuted_fns,
-            stats.cached_fns
-        );
-    }
+    println!("Figure 12: Time taken to verify TickTock ({effort_name} effort)");
+    print!("{}", report.render_fig12());
     if let Some(run) = &run {
         let mode = if run.outcome.is_warm() {
             "warm"

@@ -1,8 +1,11 @@
 //! Figure 12: verification time per component.
 //!
-//! Builds the three obligation registries — `TickTock (Monolithic)`,
-//! `TickTock (Granular)`, `Interrupts` — and runs the verifier over each,
-//! reporting `Fns / Total / Max / Mean / StdDev` exactly as Fig. 12 does.
+//! Builds the obligation registry — `TickTock (Monolithic)`,
+//! `TickTock (Granular)`, `Interrupts` and the reproduction's own
+//! components — that `verify_all` discharges. The figure is that gate's
+//! one-worker cold run: `TT_BENCH_THREADS=1 verify_all --cold --json
+//! BENCH_fig12.json` prints `Fns / Total / Max / Mean / StdDev` exactly as
+//! Fig. 12 does and writes the same columns per component.
 //!
 //! The densities below set how hard each domain is explored. They are
 //! chosen so a laptop run finishes in tens of seconds while preserving the
@@ -11,7 +14,6 @@
 //! 36s), and the interrupt semantics have the highest per-function cost.
 
 use tt_contracts::obligation::Registry;
-use tt_contracts::verifier::{VerificationReport, Verifier};
 use tt_legacy::BugVariant;
 
 /// Verification effort configuration.
@@ -33,9 +35,10 @@ impl Effort {
         interrupt_depth: 4,
     };
 
-    /// The full configuration used by the `fig12_verification_time`
-    /// binary: every component explores its domains at the same per-point
-    /// density (20), and the interrupt bit-vector domains at depth 100.
+    /// The full configuration, `verify_all` without `--quick`: every
+    /// component explores its domains at the same per-point density (20),
+    /// and the interrupt bit-vector domains at depth 100. Fig. 12 is this
+    /// effort's cold run on one worker.
     pub const FULL: Effort = Effort {
         monolithic_density: 20,
         granular_density: 20,
@@ -68,25 +71,20 @@ fn registry_with(effort: Effort, monolithic: BugVariant) -> Registry {
     registry
 }
 
-/// Runs the verifier over the registry on one worker. Figure 12 reports
-/// effort per function, and a discharge that shares a core with another
-/// one reads longer than it is, so the figure is measured serially;
-/// `verify_all`, whose wall time is the CI cost, uses every core.
-pub fn run(effort: Effort) -> VerificationReport {
-    Verifier::with_threads(1).verify(&build_registry(effort))
-}
-
-/// Renders the Fig. 12 table.
-pub fn render(report: &VerificationReport) -> String {
-    report.render_fig12()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ticktock::obligations::COMPONENT as GRANULAR;
+    use tt_contracts::verifier::{VerificationReport, Verifier};
     use tt_fluxarm::contracts::COMPONENT as INTERRUPTS;
     use tt_legacy::obligations::COMPONENT as MONOLITHIC;
+
+    /// Runs the verifier over the registry on one worker, as Fig. 12 is
+    /// measured: a discharge that shares a core with another one reads
+    /// longer than it is.
+    fn run(effort: Effort) -> VerificationReport {
+        Verifier::with_threads(1).verify(&build_registry(effort))
+    }
 
     #[test]
     fn everything_verifies_at_quick_effort() {
@@ -169,7 +167,7 @@ mod tests {
     #[test]
     fn rendered_table_has_all_components() {
         let report = run(Effort::QUICK);
-        let table = render(&report);
+        let table = report.render_fig12();
         for c in [
             MONOLITHIC,
             GRANULAR,

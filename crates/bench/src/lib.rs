@@ -1,11 +1,12 @@
 //! The benchmark harness: regenerates every table and figure of the
-//! paper's evaluation (§5, §6).
+//! paper's evaluation (§5, §6). Each figure comes from the CI gate that
+//! already computes it, so the artifact and the check are one run.
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|
-//! | Fig. 10 proof effort | [`fig10`] | `fig10_proof_effort` |
+//! | Fig. 10 proof effort | `tt_analysis` | `tt-audit --json` |
 //! | Fig. 11 CPU cycles | [`fig11`] | `fig11_cycles` |
-//! | Fig. 12 verification time | [`fig12`] | `fig12_verification_time` |
+//! | Fig. 12 verification time | [`fig12`], [`incremental`] | `TT_BENCH_THREADS=1 verify_all --cold --json` |
 //! | §6.1 differential testing | `tt_kernel::differential` | `e61_differential` |
 //! | §6.2 memory usage | [`e62`] | `e62_memory_usage` |
 //!
@@ -17,7 +18,6 @@
 pub mod args;
 pub mod e62;
 pub mod explore;
-pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod fleet;

@@ -1,6 +1,7 @@
 //! The gate binaries refuse bad input instead of shrinking the gate:
-//! a numeric flag that does not parse, or a `--check` baseline that
-//! cannot be read, exits non-zero and says why before any campaign runs.
+//! a mistyped flag, a numeric flag that does not parse, or a `--check`
+//! baseline that cannot be read, exits non-zero and says why before any
+//! campaign runs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -16,6 +17,106 @@ fn run(bin: &str, args: &[&str], dir: Option<&PathBuf>) -> Output {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A directory without `ci/bench_baseline.json`, removed on drop.
+struct EmptyDir(PathBuf);
+
+impl EmptyDir {
+    fn new(tag: &str) -> EmptyDir {
+        let dir = std::env::temp_dir().join(format!("tt-cli-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        EmptyDir(dir)
+    }
+}
+
+impl Drop for EmptyDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn every_gate_rejects_a_mistyped_flag_before_any_work() {
+    for (bin, argv, named) in [
+        (
+            env!("CARGO_BIN_EXE_e_fleet"),
+            &["--runs", "200", "--chek", "ci/bench_baseline.json"][..],
+            "--chek",
+        ),
+        (
+            env!("CARGO_BIN_EXE_e_explore"),
+            &["--chek", "/no/such.json"][..],
+            "--chek",
+        ),
+        (
+            env!("CARGO_BIN_EXE_e61_differential"),
+            &["--jsno", "x.json"][..],
+            "--jsno",
+        ),
+        (
+            env!("CARGO_BIN_EXE_e62_memory_usage"),
+            &["--jsno", "y.json"][..],
+            "--jsno",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig11_cycles"),
+            &["--json", "--chek"][..],
+            "--chek",
+        ),
+        (
+            env!("CARGO_BIN_EXE_verify_all"),
+            &["--quick", "--chek"][..],
+            "--chek",
+        ),
+    ] {
+        let out = run(bin, argv, None);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bin} {argv:?}: {}",
+            stderr(&out)
+        );
+        assert!(stderr(&out).contains(named), "{bin}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{bin} {argv:?}: work ran");
+    }
+}
+
+#[test]
+fn fig11_cycles_bare_check_defaults_to_the_committed_baseline() {
+    let dir = EmptyDir::new("fig11");
+    let out = run(
+        env!("CARGO_BIN_EXE_fig11_cycles"),
+        &["--check"],
+        Some(&dir.0),
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("failed to read baseline ci/bench_baseline.json"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "cycles were measured without a baseline"
+    );
+}
+
+#[test]
+fn trace_diff_usage_errors_exit_2_with_the_usage_text() {
+    for argv in [
+        &["--dupm", "sensors"][..],
+        &["sensors", "--chip", "no-such-chip"],
+        &["sensors", "--chip"],
+        &["sensors", "c_hello"],
+        &["no_such_test"],
+        &[],
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_trace_diff"), argv, None);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("usage: trace_diff"), "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?}: a replay ran");
+    }
 }
 
 #[test]
@@ -51,10 +152,8 @@ fn e_explore_rejects_malformed_numbers_naming_the_flag() {
 #[test]
 fn e_explore_check_fails_when_the_baseline_cannot_be_read() {
     // The default baseline path, from a directory that does not have it.
-    let dir = std::env::temp_dir().join(format!("tt-cli-nobaseline-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = run(env!("CARGO_BIN_EXE_e_explore"), &["--check"], Some(&dir));
-    std::fs::remove_dir_all(&dir).unwrap();
+    let dir = EmptyDir::new("explore");
+    let out = run(env!("CARGO_BIN_EXE_e_explore"), &["--check"], Some(&dir.0));
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(
         stderr(&out).contains("failed to read baseline ci/bench_baseline.json"),
@@ -81,7 +180,6 @@ fn verify_all_rejects_missing_values_and_unknown_arguments() {
         (&["--quick", "--cache"][..], "--cache"),
         (&["--quick", "--json"][..], "--json"),
         (&["--json", "--cold"][..], "--json"),
-        (&["--quick", "--chek"][..], "--chek"),
         (&["--quick", "stray"][..], "stray"),
     ] {
         let out = run(env!("CARGO_BIN_EXE_verify_all"), argv, None);
@@ -95,17 +193,15 @@ fn verify_all_rejects_missing_values_and_unknown_arguments() {
 fn verify_all_check_defaults_to_the_committed_baseline() {
     // From a directory without `ci/bench_baseline.json`, a bare --check
     // fails before anything is verified.
-    let dir = std::env::temp_dir().join(format!("tt-cli-verify-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = EmptyDir::new("verify");
     let out = run(
         env!("CARGO_BIN_EXE_verify_all"),
         &["--quick", "--check"],
-        Some(&dir),
+        Some(&dir.0),
     );
-    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(
-        stderr(&out).contains("could not read baseline ci/bench_baseline.json"),
+        stderr(&out).contains("failed to read baseline ci/bench_baseline.json"),
         "{}",
         stderr(&out)
     );
